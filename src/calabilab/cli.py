@@ -37,8 +37,12 @@ def _load_manifest(path):
     cfg_spec = manifest["config"]
     if isinstance(cfg_spec, str):
         base = os.path.dirname(os.path.abspath(path))
-        with open(os.path.join(base, cfg_spec)) as fh:
-            cfg_spec = json.load(fh)
+        cfg_path = os.path.join(base, cfg_spec)
+        try:
+            with open(cfg_path) as fh:
+                cfg_spec = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise BadParams(f"unreadable config {cfg_path}: {exc}") from exc
     try:
         cfg = flow.FlowConfig(**cfg_spec)
     except (TypeError, ValueError) as exc:
@@ -143,7 +147,10 @@ def _write_series(path, pairs):
 
 
 def cmd_analyze(args):
-    trace = traceio.read_trace(args.trace)
+    try:
+        trace = traceio.read_trace(args.trace)
+    except OSError as exc:
+        raise BadParams(f"unreadable trace {args.trace}: {exc}") from exc
     rep = scale.analyze_trace(trace, alpha=args.alpha, eps0=args.eps0,
                               t_sing=args.t_sing)
     outdir = _resolve_outdir(args.outdir,

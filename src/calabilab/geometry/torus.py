@@ -83,13 +83,6 @@ def bilap0(f):
     return np.fft.irfft2(k2 * k2 * np.fft.rfft2(f), s=f.shape)
 
 
-def dealias(f):
-    """Apply the 2/3-rule spectral mask (used on explicit stepping terms)."""
-    n = f.shape[0]
-    _, _, _, mask = _ops(n)
-    return np.fft.irfft2(mask * np.fft.rfft2(f), s=f.shape)
-
-
 def conformal_density(phi, eps_pos=POSITIVITY_FLOOR):
     """h = 1 + lap0(phi); raises NonKahler when positivity fails.
 

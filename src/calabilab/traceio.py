@@ -14,8 +14,8 @@ double, so read(write(x)) is bit-identical; missing optional values are
 the single character ``-``.  JSON numbers use the IEEE extensions
 (``Infinity``/``NaN``) accepted by the standard library parser.
 
-Error taxonomy: damaged bodies (truncation, arity, unparsable tokens) are
-``CorruptFile``; header-level disagreements (kind, backend, schema) are
+Error taxonomy: damaged bodies (truncation, arity, unparsable tokens) and
+checkpoints without a complete engine state are ``CorruptFile``; header-level disagreements (kind, backend, schema) are
 ``SchemaMismatch``; an unsupported ``format_version`` is
 ``VersionMismatch``.
 """
@@ -31,6 +31,11 @@ from .geometry import BACKENDS, toric_state, torus_state
 from .scale import TERMINATIONS, Trace
 
 FORMAT_VERSION = 1
+
+# The adaptive-engine fields a checkpoint must carry to resume a run
+# (``flow.EngineState``).
+ENGINE_KEYS = ("dt", "streak", "next_sample_t", "next_checkpoint_t",
+               "checkpoint_index")
 
 
 def config_hash(cfg_dict):
@@ -191,13 +196,18 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
     vals = np.array([_parse(tok) for tok in body], dtype=float)
     if np.any(np.isnan(vals)):
         raise CorruptFile("checkpoint contains missing values")
+    engine = head.get("engine")
+    if not isinstance(engine, dict) or any(k not in engine
+                                           for k in ENGINE_KEYS):
+        raise CorruptFile(
+            f"checkpoint engine state must carry {', '.join(ENGINE_KEYS)}"
+        )
     t = head.get("t", 0.0)
     if backend == "torus":
         state = torus_state(vals.reshape(res, res), t)
     else:
         state = toric_state(vals, t)
-    return CheckpointData(state, head.get("engine", {}),
-                          head.get("config_hash"))
+    return CheckpointData(state, engine, head.get("config_hash"))
 
 
 def write_report(report_dict, path):

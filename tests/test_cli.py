@@ -119,6 +119,19 @@ class TestRun:
         assert code == 1
         assert payload["error_class"] == "SchemaMismatch"
 
+    @pytest.mark.parametrize("config_text", [None, "{not json"])
+    def test_unreadable_config_file(self, tmp_path, capsys, config_text):
+        if config_text is not None:
+            (tmp_path / "cfg.json").write_text(config_text)
+        manifest = write_manifest(tmp_path, config="cfg.json")
+        code, payload = run_cli(
+            ["run", manifest, "--outdir", str(tmp_path / "out")], capsys
+        )
+        assert code == 1
+        assert payload["status"] == "error"
+        assert payload["error_class"] == "BadParams"
+        assert "cfg.json" in payload["message"]
+
 
 class TestAnalyze:
     def test_type_one_synthetic(self, tmp_path, capsys):
@@ -170,6 +183,16 @@ class TestAnalyze:
         )
         assert code == 1
         assert payload["error_class"] == "CorruptFile"
+
+    def test_missing_trace_reports_bad_params(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.trace"
+        code, payload = run_cli(
+            ["analyze", str(missing), "--outdir", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert payload["status"] == "error"
+        assert payload["error_class"] == "BadParams"
+        assert "nowhere.trace" in payload["message"]
 
 
 class TestSweep:

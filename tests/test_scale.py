@@ -1,5 +1,6 @@
 """Trace calculus: curvature scale, Dini, doubling, growth, barrier, rates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from calabilab import scale
 from calabilab.errors import BadParams, DomainError
-from calabilab.verify import dense_scan_curvature_scale
+from calabilab.verify import _synthetic_corpus, dense_scan_curvature_scale
 
 
 def sawtooth(times, q, p=None, o=None):
@@ -29,6 +30,226 @@ def pl_traces(draw):
     q = draw(st.lists(st.floats(0.01, 5.0), min_size=n + 1, max_size=n + 1))
     p = draw(st.lists(st.floats(0.0, 3.0), min_size=n + 1, max_size=n + 1))
     return sawtooth(times, q, p)
+
+
+def interp_max(t, y, a, b):
+    """Brute-force maximum of the interpolant over [a, b] in the domain:
+    every knot inside the window and both ends, evaluated directly."""
+    a, b = max(a, t[0]), min(b, t[-1])
+    pts = np.concatenate(([a, b], t[(t > a) & (t < b)]))
+    return float(np.max(np.interp(pts, t, y)))
+
+
+def trapezoid_over_window(t, y, a, b):
+    """Direct trapezoid sum over the part of [a, b] in the domain: its ends
+    and inner knots."""
+    a, b = np.clip([a, b], t[0], t[-1])
+    pts = np.concatenate(([a], t[(t > a) & (t < b)], [b]))
+    return float(np.trapezoid(np.interp(pts, t, y), pts))
+
+
+def scalar_bisection_curvature_scale(trace, t0, rtol=scale.BISECT_RTOL):
+    """Oracle: the one-point bisection the batched curvature scale
+    replaced, kept verbatim apart from its window maximum."""
+    t, y = trace.series("sup_curv")
+    if t0 < t[0] - 1e-12 or t0 > t[-1] + 1e-12:
+        raise DomainError(f"time {t0} outside the trace")
+    t0 = min(max(t0, float(t[0])), float(t[-1]))
+    s_max = t0 - float(t[0])
+    if s_max <= 0.0:
+        return 0.0
+    g_all = interp_max(t, y, t[0], t0)
+    if g_all <= 0.0:
+        return s_max
+
+    def ok(s):
+        m = interp_max(t, y, t0 - s, t0)
+        return m * m <= 1.0 / s
+
+    if ok(s_max):
+        return s_max
+    lo = min(s_max, 1.0 / (g_all * g_all))
+    if lo >= s_max:
+        return s_max
+    hi = s_max
+    for _ in range(200):
+        if hi - lo <= rtol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def per_tau_growth_bound(trace, eps0=None, refine=8):
+    """Oracle: the growth bound as a loop over eval times, each with its
+    own trapezoid integral from the anchor."""
+    tq, q = trace.series("sup_curv")
+    _, p = trace.series("sup_hess_scalar")
+    anchor = None
+    for k in range(len(tq)):
+        qk = float(q[k])
+        if qk <= 0.0:
+            continue
+        back = 1.0 / (qk * qk)
+        t0 = float(tq[k])
+        if t0 - back < float(tq[0]) - 1e-12:
+            continue
+        if interp_max(tq, q, t0 - back, t0) <= 2.0 * qk * (1.0 + 1e-12):
+            anchor = t0
+            break
+    if anchor is None:
+        raise DomainError("no admissible normalization anchor in the trace")
+    q0 = float(np.interp(anchor, tq, q))
+    ts = tq[tq > anchor]
+    if refine > 1 and ts.size:
+        cells = np.concatenate(([anchor], ts))
+        ts = np.unique(np.concatenate([
+            np.linspace(a, b, refine + 1)[1:]
+            for a, b in zip(cells[:-1], cells[1:])
+        ]))
+    eps0_max = math.inf
+    pairs = []
+    for tau in ts:
+        qt = float(np.interp(tau, tq, q))
+        if qt <= 0.0:
+            continue
+        lhs = math.log2(qt / q0) - 1.0
+        rhs = trapezoid_over_window(tq, p, anchor, float(tau))
+        pairs.append((lhs, rhs))
+        if lhs > 0.0:
+            eps0_max = min(eps0_max, rhs / lhs)
+    holds = None
+    if eps0 is not None:
+        holds = all(l < r / eps0 for l, r in pairs if l > 0.0)
+    return anchor, eps0_max, holds
+
+
+@st.composite
+def curves_and_windows(draw):
+    """A piecewise-linear curve plus windows that cross knots, fall
+    between two knots, end on knots or run past the domain."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1,
+                         max_size=n - 1))
+    t = np.concatenate(([0.0], np.cumsum(gaps)))
+    y = np.asarray(draw(st.lists(st.floats(0.0, 3.0), min_size=n,
+                                 max_size=n)))
+    windows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["any", "cell", "knots"]))
+        if kind == "any":
+            a, b = sorted(draw(st.lists(st.floats(-1.0, t[-1] + 1.0),
+                                        min_size=2, max_size=2)))
+        elif kind == "cell":
+            j = draw(st.integers(0, n - 2))
+            a, b = sorted(draw(st.lists(st.floats(t[j], t[j + 1]),
+                                        min_size=2, max_size=2)))
+        else:
+            i, k = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                        max_size=2)))
+            a, b = float(t[i]), float(t[k])
+        windows.append((a, b))
+    return t, y, windows
+
+
+class TestWindowTables:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(curves_and_windows())
+    def test_window_max_matches_brute_force(self, case):
+        t, y, windows = case
+        pl = scale.PiecewiseLinear(t, y)
+        inside = [(a, b) for a, b in windows if b >= t[0] and a <= t[-1]]
+        for a, b in windows:
+            if (a, b) not in inside:
+                with pytest.raises(DomainError):
+                    pl.window_max(a, b)
+                continue
+            got = pl.window_max(a, b)
+            assert isinstance(got, float)
+            assert got == interp_max(t, y, a, b)
+        if inside:
+            lo, hi = np.array(inside).T
+            batched = pl.window_max(lo, hi)
+            assert batched.tolist() == [pl.window_max(a, b)
+                                        for a, b in inside]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(curves_and_windows())
+    def test_integral_matches_trapezoid(self, case):
+        # The inner cells come from one prefix sum, so the rounding error
+        # scales with the integral from the first knot to b rather than
+        # with the window's own integral.
+        t, y, windows = case
+        pl = scale.PiecewiseLinear(t, y)
+        for a, b in windows:
+            direct = trapezoid_over_window(t, y, a, b)
+            from_start = trapezoid_over_window(t, y, t[0], b)
+            got = pl.integral(a, b)
+            assert isinstance(got, float)
+            assert abs(got - direct) <= 1e-12 * max(abs(direct), from_start)
+        lo, hi = np.array(windows).T
+        assert pl.integral(lo, hi).tolist() == [pl.integral(a, b)
+                                                for a, b in windows]
+
+    def test_integral_relative_accuracy_on_a_long_trace(self):
+        # 10k cells of an envelope of order one: every window, short or
+        # long, late or early, matches the direct sum to 1e-12 relative.
+        t = np.linspace(0.0, 100.0, 10001)
+        y = 1.5 + np.sin(3.0 * t) + 0.01 * t
+        pl = scale.PiecewiseLinear(t, y)
+        rng = np.random.default_rng(5)
+        for a in rng.uniform(0.0, 100.0, 200):
+            for width in (1e-9, 1e-3, 0.5, 30.0):
+                b = min(a + width, 100.0)
+                direct = trapezoid_over_window(t, y, a, b)
+                assert pl.integral(a, b) == pytest.approx(direct, rel=1e-12)
+
+    def test_antiderivative_is_the_integral_from_the_first_knot(self):
+        t = np.array([0.0, 0.5, 2.0, 2.25])
+        y = np.array([1.0, 3.0, 0.0, 2.0])
+        pl = scale.PiecewiseLinear(t, y)
+        xs = np.array([0.0, 0.25, 0.5, 1.9, 2.25, 9.0])
+        want = [trapezoid_over_window(t, y, 0.0, x) for x in xs]
+        assert pl.antiderivative(xs) == pytest.approx(want, rel=1e-15)
+
+    def test_reversed_window_raises(self):
+        pl = scale.PiecewiseLinear([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(DomainError):
+            pl.integral(0.75, 0.25)
+        with pytest.raises(DomainError):
+            pl.window_max(0.75, 0.25)
+
+
+class TestTraceColumns:
+    def test_series_is_cached_read_only_and_matches_samples(self):
+        tr = scale.synthetic_trace("typeI", t_sing=5.0, t1=4.5, n=31)
+        samples = list(tr.samples)
+        samples[3] = dataclasses.replace(samples[3], futaki=0.25)
+        tr = scale.Trace(tuple(samples), tr.t_start, tr.t_end,
+                         tr.termination, tr.metadata)
+        for name in ("sup_curv", "calabi_energy", "futaki"):
+            t, y = tr.series(name)
+            assert t.tolist() == [s.t for s in tr.samples]
+            for s, v in zip(tr.samples, y.tolist()):
+                field = getattr(s, name)
+                assert (math.isnan(v) if field is None else v == field)
+            for arr in (t, y):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+            again = tr.series(name)
+            assert again[0] is t and again[1] is y
+
+    def test_caches_take_no_part_in_equality(self):
+        tr = scale.synthetic_trace("constant", value=1.0, n=21)
+        twin = scale.Trace(tr.samples, tr.t_start, tr.t_end,
+                           tr.termination, dict(tr.metadata))
+        scale.curvature_scale(tr, 5.0)
+        assert tr == twin
+        assert "_columns" not in repr(tr)
 
 
 class TestCurvatureScale:
@@ -62,6 +283,29 @@ class TestCurvatureScale:
         t, _ = tr.series("sup_curv")
         cell = float(np.max(np.diff(t)))
         assert abs(fast - slow) <= cell
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(pl_traces(), st.lists(st.floats(0.0, 1.0), min_size=1,
+                                 max_size=12))
+    def test_batched_equals_scalar_bisection_bit_for_bit(self, tr, fracs):
+        times = [tr.t_start + f * (tr.t_end - tr.t_start) for f in fracs]
+        want = [scalar_bisection_curvature_scale(tr, t0) for t0 in times]
+        assert scale.curvature_scales(tr, times).tolist() == want
+        assert [scale.curvature_scale(tr, t0) for t0 in times] == want
+
+    def test_batched_on_the_oracle_corpus_bit_for_bit(self):
+        for seed, tr in _synthetic_corpus(n_traces=20):
+            t, _ = tr.series("sup_curv")
+            times = np.concatenate((t[::7], [t[-1]]))
+            want = [scalar_bisection_curvature_scale(tr, float(t0))
+                    for t0 in times]
+            assert scale.curvature_scales(tr, times).tolist() == want
+
+    def test_batched_rejects_any_time_outside(self):
+        tr = scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=5.0)
+        with pytest.raises(DomainError):
+            scale.curvature_scales(tr, [1.0, 2.0, 6.0])
 
 
 class TestDini:
@@ -211,6 +455,34 @@ class TestGrowthBound:
         eps_max = g.eps0_max
         assert scale.growth_bound_check(tr, eps0=0.5 * eps_max).holds
         assert not scale.growth_bound_check(tr, eps0=2.0 * eps_max).holds
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(pl_traces(), st.sampled_from([1, 2, 8]))
+    def test_matches_per_tau_loop(self, tail, refine):
+        # A flat unit prefix supplies the anchor; the random tail grows.
+        t_tail, q_tail = tail.series("sup_curv")
+        _, p_tail = tail.series("sup_hess_scalar")
+        pre = np.linspace(-2.0, 0.0, 11)
+        times = np.concatenate((pre, 0.05 + t_tail))
+        q = np.concatenate((np.ones(pre.size), q_tail))
+        p = np.concatenate((np.full(pre.size, 0.5), p_tail))
+        tr = sawtooth(times, q, p)
+        anchor, eps_max, _ = per_tau_growth_bound(tr, refine=refine)
+        g = scale.growth_bound_check(tr, refine=refine)
+        assert g.anchor == anchor
+        if math.isinf(eps_max):
+            assert math.isinf(g.eps0_max)
+        else:
+            assert g.eps0_max == pytest.approx(eps_max, rel=1e-12)
+            for eps0 in (0.5 * eps_max, 2.0 * eps_max):
+                holds = scale.growth_bound_check(tr, eps0, refine).holds
+                assert holds == per_tau_growth_bound(tr, eps0, refine)[2]
+
+    def test_no_anchor_matches_per_tau_loop(self):
+        times = np.linspace(0.0, 1.0, 21)
+        tr = sawtooth(times, np.full(times.shape, 0.2))
+        with pytest.raises(DomainError):
+            per_tau_growth_bound(tr)
 
     def test_no_anchor_raises(self):
         times = np.linspace(0.0, 1.0, 21)

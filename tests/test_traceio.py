@@ -1,5 +1,6 @@
 """Serialization: round trips, golden files, error taxonomy, hashing."""
 
+import dataclasses
 import json
 import os
 
@@ -148,6 +149,28 @@ class TestCheckpoint:
         traceio.write_checkpoint(geometry.flat_state(16), {}, "00", path)
         with pytest.raises(SchemaMismatch):
             traceio.read_checkpoint(path, expect_resolution=32)
+
+    @pytest.mark.parametrize("engine", [None, {}, {"dt": 0.125},
+                                        "not a dict"])
+    def test_incomplete_engine_state(self, tmp_path, engine):
+        path = tmp_path / "s.ckpt"
+        full = {"dt": 0.125, "streak": 5, "next_sample_t": 1.5,
+                "next_checkpoint_t": 2.0, "checkpoint_index": 1}
+        traceio.write_checkpoint(geometry.flat_state(8), full, "00", path)
+        lines = path.read_text().splitlines()
+        head = json.loads(lines[0])
+        if engine is None:
+            del head["engine"]
+        else:
+            head["engine"] = engine
+        lines[0] = json.dumps(head, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptFile):
+            traceio.read_checkpoint(path)
+
+    def test_engine_keys_are_the_engine_state_fields(self):
+        names = {f.name for f in dataclasses.fields(flow.EngineState)}
+        assert set(traceio.ENGINE_KEYS) == names
 
     def test_truncated_values(self, tmp_path):
         path = tmp_path / "s.ckpt"
