@@ -83,11 +83,16 @@ def cmd_run(args):
               file=sys.stderr)
         result = flow.resume(cfg, ckpt, checkpoint_dir=outdir,
                              on_accept=_progress(sys.stderr))
+        # A resumed trace holds only the suffix after the checkpoint; its
+        # own name keeps it from replacing the original run's trace.
+        stem = os.path.splitext(os.path.basename(args.resume))[0]
+        trace_name = f"run.from_{stem}.trace"
     else:
         state0 = presets.build_initial(cfg.backend, cfg.resolution, initial)
         result = flow.run(cfg, state0, checkpoint_dir=outdir,
                           on_accept=_progress(sys.stderr))
-    trace_path = os.path.join(outdir, "run.trace")
+        trace_name = "run.trace"
+    trace_path = os.path.join(outdir, trace_name)
     traceio.write_trace(result.trace, trace_path)
     last = result.trace.samples[-1]
     summary = {

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, SolverFailure
-from .geometry import TORIC, TORUS, toric, torus
 
 FUTAKI_TOL = 1e-10
 
@@ -53,7 +52,7 @@ class VectorFieldSpec:
     coefficients: tuple
 
     def __post_init__(self):
-        want = 2 if self.backend == TORUS else 1
+        want = geometry.backend_module(self.backend).FIELD_DIM
         coeffs = tuple(float(c) for c in self.coefficients)
         if len(coeffs) != want or not all(np.isfinite(coeffs)):
             raise ValueError("bad vector field coefficients")
@@ -61,12 +60,8 @@ class VectorFieldSpec:
 
 
 def basis_fields(backend):
-    if backend == TORUS:
-        return (
-            VectorFieldSpec(TORUS, (1.0, 0.0)),
-            VectorFieldSpec(TORUS, (0.0, 1.0)),
-        )
-    return (VectorFieldSpec(TORIC, (1.0,)),)
+    dim = geometry.backend_module(backend).FIELD_DIM
+    return tuple(VectorFieldSpec(backend, row) for row in np.eye(dim))
 
 
 def futaki(state, v_spec, tol=FUTAKI_TOL):
@@ -77,13 +72,10 @@ def futaki(state, v_spec, tol=FUTAKI_TOL):
     and returns int V(f) dV.  The shift drops out of the pairing but is
     kept so the returned potential convention is canonical.
     """
+    ops = geometry.backend_module(state.backend)
     s = geometry.scalar_curvature(state).values
     sbar = geometry.average_scalar(state)
-    if state.backend == TORUS:
-        h = torus.conformal_density(state.potential.phi)
-        f, resid = torus.poisson_solve(h, s - sbar, tol)
-    else:
-        f, resid = toric.poisson_solve(state.potential.v, s - sbar, tol)
+    f, resid = ops.poisson_solve(state.values(), s - sbar, tol)
     scale = max(1.0, float(np.max(np.abs(s - sbar))))
     if resid > tol * scale:
         raise SolverFailure(
@@ -91,13 +83,7 @@ def futaki(state, v_spec, tol=FUTAKI_TOL):
         )
     vol = geometry.volume(state)
     f = f + np.log(vol / geometry.grid_integral(state, np.exp(f)))
-    if state.backend == TORUS:
-        a, b = v_spec.coefficients
-        fx, fy = torus.grad0(f)
-        return geometry.grid_integral(state, a * fx + b * fy)
-    # The circle generator acts in the angular direction only; invariant
-    # potentials are annihilated exactly.
-    return 0.0 * v_spec.coefficients[0]
+    return ops.futaki_pairing(state.values(), f, v_spec.coefficients)
 
 
 def evolution_residual(s_prev, s_next, dt):
@@ -114,11 +100,8 @@ def evolution_residual(s_prev, s_next, dt):
     s0 = geometry.scalar_curvature(s_prev).values
     s1 = geometry.scalar_curvature(s_next).values
     mid = s_prev.with_values(0.5 * (s_prev.values() + s_next.values()))
-    if mid.backend == TORUS:
-        h = torus.conformal_density(mid.potential.phi)
-        spatial = torus.evolution_operator(h)
-    else:
-        spatial = toric.evolution_operator(mid.potential.v)
+    spatial = geometry.backend_module(mid.backend).scalar_evolution(
+        mid.values())
     return float(np.max(np.abs((s1 - s0) / dt + spatial)))
 
 
@@ -134,9 +117,8 @@ def automorphism_gap(state, reference):
         raise ValueError("states live on different backends")
     if state.resolution != reference.resolution:
         raise ValueError("states have different resolutions")
-    if state.backend == TORUS:
-        return torus.sobolev_gap(state.potential.phi, reference.potential.phi)
-    return toric.sobolev_gap(state.potential.v, reference.potential.v)
+    return geometry.backend_module(state.backend).sobolev_gap(
+        state.values(), reference.values())
 
 
 def sample(state, prev=None, dt=None, reference=None):

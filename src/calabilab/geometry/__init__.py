@@ -7,24 +7,36 @@ Two backends share one operation surface:
 ``toric1d``
     Symplectic-potential corrections on [-1, 1], Chebyshev collocation.
 
+Each backend is one module providing the same names (README, "Backends"),
+whose functions take the raw value grid of a state (phi or v).  The
+functions here dispatch through ``_MODULES``, the one table that maps a
+backend name to its module.
+
 States are immutable value objects; every operation is a pure function of
 its inputs and safe to call concurrently.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonKahler
 from . import toric, torus
 
 TORUS = "torus"
 TORIC = "toric1d"
-BACKENDS = (TORUS, TORIC)
+
+_MODULES = {TORUS: torus, TORIC: toric}
+BACKENDS = tuple(_MODULES)
 
 POSITIVITY_FLOOR = 1e-8
 
-_GAUGE_TOL = 1e-9
+
+def backend_module(backend):
+    """The operations module of a backend name; ValueError if unknown."""
+    try:
+        return _MODULES[backend]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown backend {backend!r}") from None
 
 
 def _freeze(a):
@@ -34,49 +46,45 @@ def _freeze(a):
 
 
 @dataclass(frozen=True)
-class TorusPotential:
+class _Potential:
+    """Read-only value grid, validated by its backend module."""
+
+    values: np.ndarray
+    backend = None
+
+    def __post_init__(self):
+        vals = _freeze(self.values)
+        object.__setattr__(self, "values", vals)
+        ops = _MODULES[self.backend]
+        n = vals.shape[0] if vals.ndim else 0
+        if vals.shape != ops.grid_shape(n):
+            raise ValueError(f"{self.backend} potential has shape "
+                             f"{vals.shape}, not {ops.grid_shape(n)}")
+        ops.check_resolution(n)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("potential contains non-finite values")
+        ops.check_gauge(vals)
+
+    @property
+    def resolution(self):
+        return self.values.shape[0]
+
+
+class TorusPotential(_Potential):
     """Zero-mean Kahler potential on an N x N grid, N a power of two."""
 
-    phi: np.ndarray
-
-    def __post_init__(self):
-        phi = _freeze(self.phi)
-        object.__setattr__(self, "phi", phi)
-        n = phi.shape[0]
-        if phi.ndim != 2 or phi.shape != (n, n):
-            raise ValueError("torus potential must be a square grid")
-        if n < 8 or n > 4096 or (n & (n - 1)) != 0:
-            raise ValueError(f"unsupported torus resolution {n}")
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("potential contains non-finite values")
-        mean = abs(float(phi.mean()))
-        if mean > _GAUGE_TOL * (1.0 + float(np.max(np.abs(phi)))):
-            raise ValueError(f"potential mean {mean:.3e} violates the gauge")
-
-    @property
-    def resolution(self):
-        return self.phi.shape[0]
+    backend = TORUS
+    phi = property(lambda self: self.values)
 
 
-@dataclass(frozen=True)
-class ToricPotential:
+class ToricPotential(_Potential):
     """Smooth correction to the canonical potential on M Lobatto nodes."""
 
-    v: np.ndarray
+    backend = TORIC
+    v = property(lambda self: self.values)
 
-    def __post_init__(self):
-        v = _freeze(self.v)
-        object.__setattr__(self, "v", v)
-        if v.ndim != 1:
-            raise ValueError("toric potential must be a 1-d grid")
-        if v.shape[0] < 8 or v.shape[0] > 2049:
-            raise ValueError(f"unsupported toric resolution {v.shape[0]}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("potential contains non-finite values")
 
-    @property
-    def resolution(self):
-        return self.v.shape[0]
+_POTENTIALS = {p.backend: p for p in (TorusPotential, ToricPotential)}
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,7 @@ class MetricState:
 
     @property
     def backend(self):
-        return TORUS if isinstance(self.potential, TorusPotential) else TORIC
+        return self.potential.backend
 
     @property
     def resolution(self):
@@ -96,16 +104,12 @@ class MetricState:
 
     def values(self):
         """The raw potential grid (read-only view)."""
-        if isinstance(self.potential, TorusPotential):
-            return self.potential.phi
-        return self.potential.v
+        return self.potential.values
 
     def with_values(self, values, t=None):
         """New state of the same backend from raw potential values."""
         t_new = self.t if t is None else float(t)
-        if isinstance(self.potential, TorusPotential):
-            return MetricState(TorusPotential(values), t_new)
-        return MetricState(ToricPotential(values), t_new)
+        return MetricState(type(self.potential)(values), t_new)
 
 
 @dataclass(frozen=True)
@@ -124,20 +128,31 @@ class ScalarField:
             raise ValueError("scalar field contains non-finite values")
 
 
+def state_of(backend, values, t=0.0):
+    """The state of ``backend`` with the given raw values."""
+    return MetricState(_POTENTIALS[backend](values), t)
+
+
+def zero_state(backend, n, t=0.0):
+    """The state whose raw values vanish: flat torus, round interval."""
+    shape = backend_module(backend).grid_shape(n)
+    return state_of(backend, np.zeros(shape), t)
+
+
 def torus_state(phi, t=0.0):
-    return MetricState(TorusPotential(phi), t)
+    return state_of(TORUS, phi, t)
 
 
 def toric_state(v, t=0.0):
-    return MetricState(ToricPotential(v), t)
+    return state_of(TORIC, v, t)
 
 
 def flat_state(n, t=0.0):
-    return torus_state(np.zeros((n, n)), t)
+    return zero_state(TORUS, n, t)
 
 
 def round_state(m, t=0.0):
-    return toric_state(np.zeros(m), t)
+    return zero_state(TORIC, m, t)
 
 
 def conformal_factor(p, eps_pos=POSITIVITY_FLOOR):
@@ -149,63 +164,45 @@ def conformal_factor(p, eps_pos=POSITIVITY_FLOOR):
     return ScalarField(torus.conformal_density(p.phi, eps_pos), TORUS)
 
 
-def _density(state, eps_pos):
-    return torus.conformal_density(state.potential.phi, eps_pos)
+def _ops(state):
+    return _MODULES[state.backend]
 
 
 def scalar_curvature(state, eps_pos=POSITIVITY_FLOOR):
-    if state.backend == TORUS:
-        vals = torus.scalar_from_density(_density(state, eps_pos))
-    else:
-        vals = toric.scalar_curvature(state.potential.v, eps_pos)
+    vals = _ops(state).scalar_curvature(state.values(), eps_pos=eps_pos)
     return ScalarField(vals, state.backend)
 
 
 def average_scalar(state):
     """Topological mean of S: 0 on the torus, 2 on the toric reduction."""
-    if state.backend == TORUS:
-        return 0.0
-    return toric.average_scalar(state.potential.v)
+    return _ops(state).average_scalar(state.values())
 
 
 def volume(state, eps_pos=POSITIVITY_FLOOR):
-    if state.backend == TORUS:
-        return torus.volume(_density(state, eps_pos))
-    return toric.volume(state.resolution)
+    return _ops(state).volume(state.values(), eps_pos=eps_pos)
 
 
 def calabi_energy(state, eps_pos=POSITIVITY_FLOOR):
-    if state.backend == TORUS:
-        return torus.calabi_energy_from_density(_density(state, eps_pos))
-    return toric.calabi_energy(state.potential.v, eps_pos)
+    return _ops(state).calabi_energy(state.values(), eps_pos=eps_pos)
 
 
 def laplacian_g(state, f, eps_pos=POSITIVITY_FLOOR):
     vals = f.values if isinstance(f, ScalarField) else np.asarray(f, float)
-    if state.backend == TORUS:
-        out = torus.laplacian_from_density(_density(state, eps_pos), vals)
-    else:
-        out = toric.laplacian(state.potential.v, vals, eps_pos)
+    out = _ops(state).laplacian(state.values(), vals, eps_pos=eps_pos)
     return ScalarField(out, state.backend)
 
 
 def curvature_norms(state, eps_pos=POSITIVITY_FLOOR):
     """(sup |S|, sup |hess S|, sup |Rm|) with the package's conventions."""
-    if state.backend == TORUS:
-        return torus.norms_from_density(_density(state, eps_pos))
-    return toric.norms(state.potential.v, eps_pos)
+    return _ops(state).norms(state.values(), eps_pos=eps_pos)
 
 
 def scalar_probes(state, eps_pos=POSITIVITY_FLOOR):
     """Gradient and fourth-order sup norms of S used by smoothing probes."""
-    if state.backend == TORUS:
-        return torus.scalar_probes_from_density(_density(state, eps_pos))
-    return toric.scalar_probes(state.potential.v, eps_pos)
+    return _ops(state).scalar_probes(state.values(), eps_pos=eps_pos)
 
 
 def grid_integral(state, values, eps_pos=POSITIVITY_FLOOR):
     """Integral of nodal values against the metric volume form."""
     vals = values.values if isinstance(values, ScalarField) else values
-    if state.backend == TORUS:
-        return torus.integral(_density(state, eps_pos), vals)
-    return toric.integral(state.potential.v, vals)
+    return _ops(state).integral(state.values(), vals, eps_pos=eps_pos)

@@ -22,13 +22,37 @@ values rho(+-1) = 1 pin the average scalar curvature at 2 for every
 admissible state.
 """
 
+from numbers import Integral
+
 import numpy as np
 
-from ..errors import NonKahler
+from ..errors import BadParams, NonKahler
 
 POSITIVITY_FLOOR = 1e-8
 
+# Orientation of the interval-backend flow relative to the torus potential
+# flow under the dual transform.  Frozen from the energy-decrease
+# experiment kept in the tests: with -1 the energy falls from generic
+# perturbations, with +1 it rises.
+FLOW_SIGN = -1.0
+FIELD_DIM = 1  # holomorphic fields: multiples of the circle generator
+ZERO_PRESET = "round"  # the preset whose correction v vanishes
+
 _CACHE = {}
+
+
+def check_resolution(m):
+    """Raise ValueError unless m is a node count in 8..2049."""
+    if not isinstance(m, Integral) or not 8 <= m <= 2049:
+        raise ValueError(f"unsupported toric resolution {m}")
+
+
+def grid_shape(m):
+    return (m,)
+
+
+def check_gauge(v):
+    """Every finite v is admissible; the affine part is removed by steps."""
 
 
 class ChebOps:
@@ -139,9 +163,9 @@ def laplacian(v, f, eps_pos=POSITIVITY_FLOOR):
     return o.d1 @ (w * (o.d1 @ f))
 
 
-def volume(m):
+def volume(v, eps_pos=POSITIVITY_FLOOR):
     """Symplectic volume of the interval; independent of the state."""
-    return float(np.sum(ops(m).weights))
+    return float(np.sum(ops(v.shape[0]).weights))
 
 
 def average_scalar(v):
@@ -156,10 +180,10 @@ def average_scalar(v):
     d2v = o.d2 @ v
     rho_ends = 1.0 / (1.0 + o.q[[0, -1]] * d2v[[0, -1]])
     total = 2.0 * float(rho_ends.sum())
-    return total / volume(v.shape[0])
+    return total / volume(v)
 
 
-def integral(v, values):
+def integral(v, values, eps_pos=POSITIVITY_FLOOR):
     """Integral against the symplectic measure dx (state-independent)."""
     return float(np.dot(ops(v.shape[0]).weights, values))
 
@@ -203,6 +227,9 @@ def evolution_operator(v, eps_pos=POSITIVITY_FLOOR):
     # Differentiating the deviation S - 2 is exact at the round state and
     # avoids amplifying the matrix noise of D2 applied to a constant.
     return o.d2 @ (w * w * (o.d2 @ (s - average_scalar(v))))
+
+
+scalar_evolution = evolution_operator
 
 
 def extremality_residual(v, eps_pos=POSITIVITY_FLOOR):
@@ -250,7 +277,7 @@ def poisson_solve(v, rhs, tol=1e-10, eps_pos=POSITIVITY_FLOOR):
     o = ops(v.shape[0])
     m = v.shape[0]
     w = inverse_u2(v, eps_pos)
-    data = rhs - (o.weights @ rhs) / volume(m)
+    data = rhs - (o.weights @ rhs) / volume(v)
     big = antiderivative(data)
     rho = rho_field(v, eps_pos)
     fp = np.empty(m)
@@ -258,7 +285,7 @@ def poisson_solve(v, rhs, tol=1e-10, eps_pos=POSITIVITY_FLOOR):
     fp[0] = data[0] / (2.0 * rho[0])
     fp[-1] = -data[-1] / (2.0 * rho[-1])
     f = antiderivative(fp)
-    f = f - (o.weights @ f) / volume(m)
+    f = f - (o.weights @ f) / volume(v)
     resid = float(np.max(np.abs(w * (o.d1 @ f) - big)))
     return f, resid
 
@@ -289,3 +316,43 @@ def sobolev_gap(v_a, v_b):
         val = float(o.weights @ (d * d + d1 * d1 + d2 * d2))
         best = min(best, val)
     return float(np.sqrt(max(best, 0.0)))
+
+
+def futaki_pairing(v, f, coefficients):
+    """Zero: the circle generator annihilates invariant potentials."""
+    return 0.0 * coefficients[0]
+
+
+def transport(v, coefficients, velocity):
+    """The circle generator does not move invariant potentials."""
+    return velocity
+
+
+def _seeded_potential(m, seed, amplitude, top, decay):
+    """Gaussian Chebyshev coefficients of degree 2..top, scaled degree^-decay.
+
+    The affine part is stripped, and the amplitude is the sup-norm of
+    (1-x^2) v'', the quantity that decides positivity.
+    """
+    degrees = np.arange(2, top + 1)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(degrees.size) / degrees ** decay
+    o = ops(m)
+    theta = np.arccos(np.clip(o.x, -1, 1))
+    v = np.zeros(m)
+    for d, c in zip(degrees, coeffs):
+        v += c * np.cos(d * theta)
+    scale = np.max(np.abs(o.q * (o.d2 @ v)))
+    if scale == 0.0:
+        raise BadParams("degenerate random draw")
+    return strip_affine(v * (amplitude / scale))
+
+
+def random_potential(m, seed, amplitude, kmax=None):
+    """Seeded smooth correction, Chebyshev degrees up to kmax (default 6)."""
+    return _seeded_potential(m, seed, amplitude, int(kmax) if kmax else 6, 0)
+
+
+def rough_potential(m, seed, amplitude):
+    """Seeded 1/degree Chebyshev spectrum up to degree max(4, m/3) - 1."""
+    return _seeded_potential(m, seed, amplitude, max(4, m // 3) - 1, 1)

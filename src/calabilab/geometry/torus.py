@@ -20,16 +20,42 @@ logarithms act on nodal values, which keeps the integral identities
     volume = (2 pi)^2,     integral of S dV = 0
 
 exact to rounding: both reduce to the vanishing of the zero mode of a
-spectral Laplacian.
+spectral Laplacian.  The ``*_from_density`` helpers take h itself; the
+backend interface takes phi and derives h once per call.
 """
+
+from numbers import Integral
 
 import numpy as np
 
-from ..errors import NonKahler
+from ..errors import BadParams, NonKahler
 
 POSITIVITY_FLOOR = 1e-8
 
+FLOW_SIGN = 1.0  # the flow moves phi by S - S_bar itself
+FIELD_DIM = 2  # holomorphic fields: the constant translations
+ZERO_PRESET = "flat"  # the preset whose potential vanishes
+
+_GAUGE_TOL = 1e-9
+
 _CACHE = {}
+
+
+def check_resolution(n):
+    """Raise ValueError unless n is a power of two in 8..4096."""
+    if not isinstance(n, Integral) or not 8 <= n <= 4096 or n & (n - 1):
+        raise ValueError(f"unsupported torus resolution {n}")
+
+
+def grid_shape(n):
+    return (n, n)
+
+
+def check_gauge(phi):
+    """Raise ValueError unless phi has zero mean to rounding."""
+    mean = abs(float(phi.mean()))
+    if mean > _GAUGE_TOL * (1.0 + float(np.max(np.abs(phi)))):
+        raise ValueError(f"potential mean {mean:.3e} violates the gauge")
 
 
 def _ops(n):
@@ -110,20 +136,20 @@ def cell_area(n):
     return (2.0 * np.pi / n) ** 2
 
 
-def integral(h, values):
+def integral_from_density(h, values):
     """Integral of a nodal field against the metric volume form h dx dy."""
     n = h.shape[0]
     return cell_area(n) * float(np.sum(values * h))
 
 
-def volume(h):
+def volume_from_density(h):
     n = h.shape[0]
     return cell_area(n) * float(np.sum(h))
 
 
 def calabi_energy_from_density(h):
     s = scalar_from_density(h)
-    return integral(h, s * s)
+    return integral_from_density(h, s * s)
 
 
 def norms_from_density(h):
@@ -190,10 +216,10 @@ def extremality_residual_from_density(h):
     dzbar = 0.5 * np.fft.ifft2(
         1j * (k[:, None] * xh + 1j * k[None, :] * xh)
     )
-    return float(np.sqrt(integral(h, np.abs(dzbar) ** 2)))
+    return float(np.sqrt(integral_from_density(h, np.abs(dzbar) ** 2)))
 
 
-def poisson_solve(h, rhs, tol=1e-10):
+def poisson_solve_from_density(h, rhs, tol=1e-10):
     """Solve lap_g f = rhs (zero-mean data) for the zero-mean potential f.
 
     The metric Laplacian factors exactly through the flat operator in this
@@ -265,3 +291,78 @@ def _weighted_power(wgt, spec, n):
     if n % 2 == 0:
         dup[-1] = 1.0
     return float(np.sum(wgt * dup[None, :] * np.abs(spec) ** 2)) / (n * n) ** 2
+
+
+def _of_phi(from_density):
+    """The interface form of a density helper: h derived once from phi."""
+    def op(phi, *args, eps_pos=POSITIVITY_FLOOR):
+        return from_density(conformal_density(phi, eps_pos), *args)
+
+    op.__doc__ = from_density.__doc__
+    return op
+
+
+# The backend interface over phi.
+scalar_curvature = _of_phi(scalar_from_density)
+volume = _of_phi(volume_from_density)
+calabi_energy = _of_phi(calabi_energy_from_density)
+laplacian = _of_phi(laplacian_from_density)
+integral = _of_phi(integral_from_density)
+norms = _of_phi(norms_from_density)
+scalar_probes = _of_phi(scalar_probes_from_density)
+scalar_evolution = _of_phi(evolution_operator)
+extremality_residual = _of_phi(extremality_residual_from_density)
+poisson_solve = _of_phi(poisson_solve_from_density)
+
+
+def average_scalar(phi):
+    """Topological mean of S: 0 on the torus (Gauss-Bonnet)."""
+    return 0.0
+
+
+def futaki_pairing(phi, f, coefficients):
+    """int V(f) dV for the constant field V = a d/dx + b d/dy."""
+    a, b = coefficients
+    fx, fy = grad0(f)
+    return integral(phi, a * fx + b * fy)
+
+
+def transport(phi, coefficients, velocity):
+    """Add the advection of phi along the constant field (a, b)."""
+    a, b = coefficients
+    if a == 0.0 and b == 0.0:
+        return velocity
+    px, py = grad0(phi)
+    return velocity + a * px + b * py
+
+
+def _seeded_potential(n, seed, amplitude, cut, decay):
+    """Gaussian modes with 0 < |k| and |k_x|, k_y <= cut, scaled |k|^-decay.
+
+    The amplitude is the sup-norm of lap0(phi), the quantity that decides
+    positivity.
+    """
+    kx, ky, k2, _ = _ops(n)
+    band = (np.abs(kx)[:, None] <= cut) & (ky[None, :] <= cut)
+    band[0, 0] = False
+    count = int(band.sum())
+    rng = np.random.default_rng(seed)
+    draw = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    spec = np.zeros(band.shape, dtype=complex)
+    spec[band] = draw / np.sqrt(k2[band]) ** decay
+    phi = np.fft.irfft2(spec, s=(n, n))
+    phi = phi - phi.mean()
+    scale = np.max(np.abs(lap0(phi)))
+    if scale == 0.0:
+        raise BadParams("degenerate random draw")
+    return phi * (amplitude / scale)
+
+
+def random_potential(n, seed, amplitude, kmax=None):
+    """Seeded band-limited potential, Fourier modes up to kmax (default 4)."""
+    return _seeded_potential(n, seed, amplitude, int(kmax) if kmax else 4, 0)
+
+
+def rough_potential(n, seed, amplitude):
+    """Seeded 1/|k| spectrum up to the 2/3-rule cutoff."""
+    return _seeded_potential(n, seed, amplitude, n // 3, 1)

@@ -7,80 +7,15 @@ cone boundary, so admissible presets demand amplitude < 1; the refusal can
 be overridden explicitly for left-cone experiments.
 """
 
-import numpy as np
-
+from . import geometry
 from .errors import BadParams
-from .geometry import TORIC, TORUS, flat_state, round_state, toric, torus
-from .geometry import toric_state, torus_state
 
-PRESETS = ("flat", "round", "random", "rough")
+SEEDED_PRESETS = ("random", "rough")
+# One zero-state preset per backend, then the seeded ones.
+PRESETS = tuple(geometry.backend_module(b).ZERO_PRESET
+                for b in geometry.BACKENDS) + SEEDED_PRESETS
 
 AMPLITUDE_LIMIT = 1.0
-
-
-def _normalize_torus(phi, amplitude):
-    phi = phi - phi.mean()
-    scale = np.max(np.abs(torus.lap0(phi)))
-    if scale == 0.0:
-        raise BadParams("degenerate random draw")
-    return phi * (amplitude / scale)
-
-
-def _random_torus(n, seed, amplitude, kmax):
-    rng = np.random.default_rng(seed)
-    kx = np.fft.fftfreq(n, d=1.0 / n)
-    ky = np.arange(n // 2 + 1)
-    spec = np.zeros((n, n // 2 + 1), dtype=complex)
-    band = (np.abs(kx)[:, None] <= kmax) & (ky[None, :] <= kmax)
-    band[0, 0] = False
-    count = int(band.sum())
-    spec[band] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    phi = np.fft.irfft2(spec, s=(n, n))
-    return _normalize_torus(phi, amplitude)
-
-
-def _rough_torus(n, seed, amplitude):
-    rng = np.random.default_rng(seed)
-    kx = np.fft.fftfreq(n, d=1.0 / n)
-    ky = np.arange(n // 2 + 1)
-    kk = np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
-    band = (kk > 0) & (np.abs(kx)[:, None] <= n // 3) & (ky[None, :] <= n // 3)
-    spec = np.zeros((n, n // 2 + 1), dtype=complex)
-    count = int(band.sum())
-    draw = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    spec[band] = draw / kk[band]
-    phi = np.fft.irfft2(spec, s=(n, n))
-    return _normalize_torus(phi, amplitude)
-
-
-def _chebyshev_sum(m, coeffs, start_degree):
-    x = toric.ops(m).x
-    v = np.zeros(m)
-    for j, c in enumerate(coeffs):
-        v += c * np.cos((start_degree + j) * np.arccos(np.clip(x, -1, 1)))
-    return v
-
-
-def _normalize_toric(v, amplitude):
-    o = toric.ops(v.shape[0])
-    scale = np.max(np.abs(o.q * (o.d2 @ v)))
-    if scale == 0.0:
-        raise BadParams("degenerate random draw")
-    return toric.strip_affine(v * (amplitude / scale))
-
-
-def _random_toric(m, seed, amplitude, jmax):
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(jmax - 1)
-    return _normalize_toric(_chebyshev_sum(m, coeffs, 2), amplitude)
-
-
-def _rough_toric(m, seed, amplitude):
-    rng = np.random.default_rng(seed)
-    top = max(4, m // 3)
-    degrees = np.arange(2, top)
-    coeffs = rng.standard_normal(degrees.size) / degrees
-    return _normalize_toric(_chebyshev_sum(m, coeffs, 2), amplitude)
 
 
 def build_initial(backend, resolution, spec):
@@ -94,16 +29,17 @@ def build_initial(backend, resolution, spec):
     preset = spec.pop("preset", None)
     if preset not in PRESETS:
         raise BadParams(f"unknown preset {preset!r}")
-    if preset == "flat":
+    try:
+        ops = geometry.backend_module(backend)
+    except ValueError as exc:
+        raise BadParams(str(exc)) from None
+    if preset not in SEEDED_PRESETS:
         _reject(spec)
-        if backend != TORUS:
-            raise BadParams("the flat preset lives on the torus backend")
-        return flat_state(resolution)
-    if preset == "round":
-        _reject(spec)
-        if backend != TORIC:
-            raise BadParams("the round preset lives on the toric backend")
-        return round_state(resolution)
+        if preset != ops.ZERO_PRESET:
+            raise BadParams(
+                f"the {preset} preset does not live on the {backend} backend"
+            )
+        return geometry.zero_state(backend, resolution)
     seed = int(spec.pop("seed", 0))
     amplitude = float(spec.pop("amplitude", 0.1))
     kmax = spec.pop("kmax", None)
@@ -116,19 +52,11 @@ def build_initial(backend, resolution, spec):
             f"amplitude {amplitude} reaches the cone boundary; pass "
             "allow_overamplitude to force it"
         )
-    if backend == TORUS:
-        if preset == "random":
-            phi = _random_torus(resolution, seed, amplitude,
-                                int(kmax) if kmax else 4)
-        else:
-            phi = _rough_torus(resolution, seed, amplitude)
-        return torus_state(phi)
     if preset == "random":
-        v = _random_toric(resolution, seed, amplitude,
-                          int(kmax) if kmax else 6)
+        vals = ops.random_potential(resolution, seed, amplitude, kmax)
     else:
-        v = _rough_toric(resolution, seed, amplitude)
-    return toric_state(v)
+        vals = ops.rough_potential(resolution, seed, amplitude)
+    return geometry.state_of(backend, vals)
 
 
 def _reject(spec):

@@ -14,20 +14,28 @@ double, so read(write(x)) is bit-identical; missing optional values are
 the single character ``-``.  JSON numbers use the IEEE extensions
 (``Infinity``/``NaN``) accepted by the standard library parser.
 
-Error taxonomy: damaged bodies (truncation, arity, unparsable tokens) and
-checkpoints without a complete engine state are ``CorruptFile``; header-level disagreements (kind, backend, schema) are
-``SchemaMismatch``; an unsupported ``format_version`` is
-``VersionMismatch``.
+Error taxonomy: damaged bodies (truncation, arity, unparsable tokens, a
+value count that does not fill the declared grid, values the backend
+refuses) and checkpoints without a complete engine state are
+``CorruptFile``; header-level disagreements (kind, backend, schema, a
+resolution the backend does not support) are ``SchemaMismatch``; an
+unsupported ``format_version`` is ``VersionMismatch``.
+
+Writers never leave a partial file at the final path: each writes a
+temporary file in the same directory and renames it over the target.
 """
 
 import hashlib
 import json
+import math
+import os
+import threading
 
 import numpy as np
 
+from . import geometry
 from .diagnostics import SAMPLE_SCHEMA, DiagnosticsSample
 from .errors import CorruptFile, SchemaMismatch, VersionMismatch
-from .geometry import BACKENDS, toric_state, torus_state
 from .scale import TERMINATIONS, Trace
 
 FORMAT_VERSION = 1
@@ -57,6 +65,23 @@ def _parse(tok):
         return float(tok)
     except ValueError as exc:
         raise CorruptFile(f"unparsable float token {tok!r}") from exc
+
+
+def _write_atomic(path, write):
+    """Call ``write(fh)`` on a temporary sibling of ``path``, then rename it.
+
+    A failure inside ``write`` leaves any earlier file at ``path``
+    untouched and removes the temporary file.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _header(line, want_kind):
@@ -92,13 +117,16 @@ def write_trace(trace, path):
         "termination": trace.termination,
         "metadata": trace.metadata,
     }
-    with open(path, "w") as fh:
+
+    def write(fh):
         fh.write(json.dumps(head, sort_keys=True) + "\n")
         for s in trace.samples:
             fh.write(
                 " ".join(_fmt(getattr(s, name)) for name in SAMPLE_SCHEMA)
                 + "\n"
             )
+
+    _write_atomic(path, write)
 
 
 def read_trace(path):
@@ -164,10 +192,13 @@ def write_checkpoint(state, engine_dict, cfg_hash, path):
         "engine": engine_dict,
         "n_values": int(vals.size),
     }
-    with open(path, "w") as fh:
+
+    def write(fh):
         fh.write(json.dumps(head, sort_keys=True) + "\n")
         for x in vals:
-            fh.write(repr(float(x)) + "\n")
+            fh.write(_fmt(x) + "\n")
+
+    _write_atomic(path, write)
 
 
 def read_checkpoint(path, expect_backend=None, expect_resolution=None):
@@ -177,7 +208,7 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
         raise CorruptFile("empty file")
     head = _header(lines[0], "checkpoint")
     backend = head.get("backend")
-    if backend not in BACKENDS:
+    if backend not in geometry.BACKENDS:
         raise SchemaMismatch(f"unknown backend {backend!r}")
     if expect_backend is not None and backend != expect_backend:
         raise SchemaMismatch(
@@ -188,10 +219,21 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
         raise SchemaMismatch(
             f"checkpoint resolution {res} != expected {expect_resolution}"
         )
+    ops = geometry.backend_module(backend)
+    try:
+        ops.check_resolution(res)
+    except ValueError as exc:
+        raise SchemaMismatch(f"checkpoint header: {exc}") from None
+    shape = ops.grid_shape(res)
     body = lines[1:]
     if len(body) != head.get("n_values"):
         raise CorruptFile(
             f"expected {head.get('n_values')} values, found {len(body)}"
+        )
+    if len(body) != math.prod(shape):
+        raise CorruptFile(
+            f"{len(body)} values do not fill a {backend} grid of "
+            f"resolution {res}"
         )
     vals = np.array([_parse(tok) for tok in body], dtype=float)
     if np.any(np.isnan(vals)):
@@ -202,11 +244,11 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
         raise CorruptFile(
             f"checkpoint engine state must carry {', '.join(ENGINE_KEYS)}"
         )
-    t = head.get("t", 0.0)
-    if backend == "torus":
-        state = torus_state(vals.reshape(res, res), t)
-    else:
-        state = toric_state(vals, t)
+    try:
+        state = geometry.state_of(backend, vals.reshape(shape),
+                                  head.get("t", 0.0))
+    except ValueError as exc:
+        raise CorruptFile(f"checkpoint values: {exc}") from None
     return CheckpointData(state, engine, head.get("config_hash"))
 
 
@@ -217,8 +259,8 @@ def write_report(report_dict, path):
         "kind": "report",
         "report": report_dict,
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(head, sort_keys=True, indent=1) + "\n")
+    text = json.dumps(head, sort_keys=True, indent=1) + "\n"
+    _write_atomic(path, lambda fh: fh.write(text))
 
 
 def read_report(path):

@@ -98,6 +98,46 @@ class TestRun:
         suffix = tuple(s for s in full.samples if s.t > t_c)
         assert resumed.samples == suffix
 
+    def test_resume_into_the_original_outdir_keeps_its_trace(
+            self, tmp_path, capsys):
+        manifest = write_manifest(
+            tmp_path,
+            initial={"preset": "random", "seed": 5, "amplitude": 0.2},
+        )
+        out = tmp_path / "out"
+        code, payload = run_cli(
+            ["run", manifest, "--outdir", str(out)], capsys
+        )
+        assert code == 0
+        original = (out / "run.trace").read_bytes()
+        full = traceio.read_trace(payload["trace"])
+        ckpt = out / "checkpoint_0001.ckpt"
+        code, payload2 = run_cli(
+            ["run", manifest, "--outdir", str(out), "--resume", str(ckpt)],
+            capsys,
+        )
+        assert code == 0
+        assert payload2["trace"] == str(out / "run.from_checkpoint_0001.trace")
+        assert (out / "run.trace").read_bytes() == original
+        t_c = traceio.read_checkpoint(str(ckpt)).state.t
+        resumed = traceio.read_trace(payload2["trace"])
+        assert resumed.samples == tuple(s for s in full.samples if s.t > t_c)
+
+    @pytest.mark.parametrize("backend,resolution",
+                             [("torus", 48), ("toric1d", 4096)])
+    def test_resolution_refused_by_the_backend(self, tmp_path, capsys,
+                                               backend, resolution):
+        manifest = write_manifest(
+            tmp_path, config={"backend": backend, "resolution": resolution},
+            initial={"preset": "random", "seed": 1, "amplitude": 0.1},
+        )
+        code, payload = run_cli(
+            ["run", manifest, "--outdir", str(tmp_path / "out")], capsys
+        )
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert f"resolution {resolution}" in payload["message"]
+
     def test_config_mismatch_on_resume(self, tmp_path, capsys):
         manifest = write_manifest(
             tmp_path,

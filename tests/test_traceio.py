@@ -181,6 +181,79 @@ class TestCheckpoint:
             traceio.read_checkpoint(path)
 
 
+    ENGINE = {"dt": 0.125, "streak": 5, "next_sample_t": 1.5,
+              "next_checkpoint_t": 2.0, "checkpoint_index": 1}
+
+    def rewrite_header(self, path, **changes):
+        lines = path.read_text().splitlines()
+        head = json.loads(lines[0])
+        head.update(changes)
+        lines[0] = json.dumps(head, sort_keys=True)
+        return lines
+
+    def test_value_count_must_fill_the_grid(self, tmp_path):
+        # 63 values agree with n_values but fill no 8 x 8 grid.
+        path = tmp_path / "s.ckpt"
+        traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
+                                 path)
+        lines = self.rewrite_header(path, n_values=63)[:-1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptFile):
+            traceio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("res", [48, 4, None, "8"])
+    def test_resolution_the_backend_refuses(self, tmp_path, res):
+        path = tmp_path / "s.ckpt"
+        traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
+                                 path)
+        lines = self.rewrite_header(path, resolution=res)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaMismatch):
+            traceio.read_checkpoint(path)
+
+    def test_values_the_backend_refuses(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
+                                 path)
+        lines = path.read_text().splitlines()
+        lines[1] = "1.0"  # breaks the zero-mean gauge
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptFile):
+            traceio.read_checkpoint(path)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", ["trace", "checkpoint"])
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch,
+                                                 kind):
+        def write(path):
+            if kind == "trace":
+                traceio.write_trace(small_trace(), path)
+            else:
+                state = presets.build_initial(
+                    "torus", 16, {"preset": "random", "seed": 2})
+                traceio.write_checkpoint(state, {}, "00", path)
+
+        path = tmp_path / f"out.{kind}"
+        write(path)
+        before = path.read_bytes()
+        fmt = traceio._fmt
+        calls = []
+
+        def failing(x):
+            calls.append(x)
+            if len(calls) > 40:
+                raise RuntimeError("disk full")
+            return fmt(x)
+
+        monkeypatch.setattr(traceio, "_fmt", failing)
+        with pytest.raises(RuntimeError):
+            write(path)
+        assert len(calls) == 41
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+
 class TestGolden:
     def test_trace_v1(self, tmp_path):
         path = os.path.join(GOLDEN, "trace_v1.trace")
