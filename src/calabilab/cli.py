@@ -146,9 +146,11 @@ def _report_dict(rep):
 
 
 def _write_series(path, pairs):
-    with open(path, "w") as fh:
+    def write(fh):
         for t, y in pairs:
             fh.write(f"{t!r} {y!r}\n")
+
+    traceio._write_atomic(path, write)
 
 
 def cmd_analyze(args):
@@ -256,8 +258,8 @@ def cmd_sweep(args):
         "corpus_eps0_unbounded": corpus is not None and math.isinf(corpus),
     }
     summary_path = os.path.join(root, "sweep_summary.json")
-    with open(summary_path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    traceio._write_atomic(summary_path, lambda fh: fh.write(text))
     print(json.dumps({"status": payload["status"],
                       "summary": summary_path,
                       "runs": len(summaries)}, sort_keys=True))

@@ -73,9 +73,10 @@ def futaki(state, v_spec, tol=FUTAKI_TOL):
     kept so the returned potential convention is canonical.
     """
     ops = geometry.backend_module(state.backend)
+    base = geometry.base_field(state)
     s = geometry.scalar_curvature(state).values
     sbar = geometry.average_scalar(state)
-    f, resid = ops.poisson_solve(state.values(), s - sbar, tol)
+    f, resid = ops.poisson_solve(base, s - sbar, tol)
     scale = max(1.0, float(np.max(np.abs(s - sbar))))
     if resid > tol * scale:
         raise SolverFailure(
@@ -83,7 +84,7 @@ def futaki(state, v_spec, tol=FUTAKI_TOL):
         )
     vol = geometry.volume(state)
     f = f + np.log(vol / geometry.grid_integral(state, np.exp(f)))
-    return ops.futaki_pairing(state.values(), f, v_spec.coefficients)
+    return ops.futaki_pairing(base, f, v_spec.coefficients)
 
 
 def evolution_residual(s_prev, s_next, dt):
@@ -101,7 +102,7 @@ def evolution_residual(s_prev, s_next, dt):
     s1 = geometry.scalar_curvature(s_next).values
     mid = s_prev.with_values(0.5 * (s_prev.values() + s_next.values()))
     spatial = geometry.backend_module(mid.backend).scalar_evolution(
-        mid.values())
+        geometry.base_field(mid), geometry.scalar_curvature(mid).values)
     return float(np.max(np.abs((s1 - s0) / dt + spatial)))
 
 

@@ -90,9 +90,9 @@ class EngineState:
                    checkpoint_index=int(d["checkpoint_index"]))
 
 
-def rhs(state, eps_pos=geometry.POSITIVITY_FLOOR):
+def rhs(state):
     """Time derivative of the evolving potential field."""
-    s = geometry.scalar_curvature(state, eps_pos).values
+    s = geometry.scalar_curvature(state).values
     sbar = geometry.average_scalar(state)
     sign = geometry.backend_module(state.backend).FLOW_SIGN
     return geometry.ScalarField(sign * (s - sbar), state.backend)
@@ -113,31 +113,30 @@ def modified_rhs(state, v_spec):
     return geometry.ScalarField(vals, state.backend)
 
 
-def extremality_residual(state, eps_pos=geometry.POSITIVITY_FLOOR):
+def extremality_residual(state):
     """L2 size of the holomorphy defect of the gradient field of S."""
     return geometry.backend_module(state.backend).extremality_residual(
-        state.values(), eps_pos=eps_pos)
+        geometry.base_field(state), geometry.scalar_curvature(state).values)
 
 
-def _torus_step(phi, dt, eps_pos):
-    """(energy of phi, updated phi) for the semi-implicit spectral step.
+def _torus_step(state, dt):
+    """Updated phi of the semi-implicit spectral step.
 
     The flat bi-Laplacian is implicit, the remainder explicit and 2/3-rule
-    dealiased; one density serves the energy and the remainder.
+    dealiased; the remainder reads the state's cached S.
     """
-    h = torus.conformal_density(phi, eps_pos)
-    ca_old = torus.calabi_energy_from_density(h)
-    explicit = torus.scalar_from_density(h) + torus.bilap0(phi)
+    phi = state.values()
+    explicit = geometry.scalar_curvature(state).values + torus.bilap0(phi)
     _, _, k2, mask = torus._ops(phi.shape[0])
     fh = np.fft.rfft2(phi)
     nh = np.fft.rfft2(explicit) * mask
     out = (fh + dt * nh) / (1.0 + dt * k2 * k2)
     out[0, 0] = 0.0
-    return ca_old, np.fft.irfft2(out, s=phi.shape)
+    return np.fft.irfft2(out, s=phi.shape)
 
 
-def _toric_implicit_step(v, dt, eps_pos):
-    """(energy of v, gauge-fixed v) for the linearly implicit weak-form step.
+def _toric_implicit_step(state, dt):
+    """Gauge-fixed v of the linearly implicit weak-form step.
 
     The flow field has the closed divergence form
 
@@ -159,25 +158,23 @@ def _toric_implicit_step(v, dt, eps_pos):
     sides of the update.  At the round state the forcing vanishes and the
     update returns v bit for bit.
     """
-    pos = toric.check_cone(v, eps_pos)
-    ca_old = toric.calabi_energy(v, eps_pos)
+    v = state.values()
     o = toric.ops(v.shape[0])
-    rho = 1.0 / pos
+    rho = 1.0 / geometry.base_field(state)
     d2v = o.d2 @ v
     c_base = o.weights * o.q * o.q * rho
     f_weak = -(o.d2.T @ (c_base * d2v))
     k_mat = o.d2.T @ ((c_base * rho)[:, None] * o.d2)
     a = np.diag(o.weights) + dt * k_mat
     delta = lu_solve(lu_factor(a), dt * f_weak)
-    return ca_old, toric.strip_affine(v + delta)
+    return toric.strip_affine(v + delta)
 
 
 # The only backend knowledge outside ``geometry``: each backend's update.
 _UPDATES = {TORUS: _torus_step, TORIC: _toric_implicit_step}
 
 
-def step(state, dt, dt_min=0.0, energy_tol=0.0,
-         eps_pos=geometry.POSITIVITY_FLOOR):
+def step(state, dt, dt_min=0.0, energy_tol=0.0):
     """One semi-implicit step with energy-monotone acceptance.
 
     Raises NonKahler when the updated state leaves the cone (the caller
@@ -188,9 +185,10 @@ def step(state, dt, dt_min=0.0, energy_tol=0.0,
         raise ValueError("dt must be positive")
     if dt < dt_min:
         raise StepTooSmall(f"dt {dt:.3e} below minimum {dt_min:.3e}")
-    ca_old, new_vals = _UPDATES[state.backend](state.values(), dt, eps_pos)
+    ca_old = geometry.calabi_energy(state)
+    new_vals = _UPDATES[state.backend](state, dt)
     new_state = state.with_values(new_vals, t=state.t + dt)
-    ca_new = geometry.calabi_energy(new_state, eps_pos)
+    ca_new = geometry.calabi_energy(new_state)
     delta = ca_new - ca_old
     accepted = bool(delta <= energy_tol) and bool(np.isfinite(ca_new))
     return StepResult(new_state=new_state, dt_used=dt, accepted=accepted,

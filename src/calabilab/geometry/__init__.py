@@ -7,19 +7,27 @@ Two backends share one operation surface:
 ``toric1d``
     Symplectic-potential corrections on [-1, 1], Chebyshev collocation.
 
-Each backend is one module providing the same names (README, "Backends"),
-whose functions take the raw value grid of a state (phi or v).  The
-functions here dispatch through ``_MODULES``, the one table that maps a
-backend name to its module.
+Each backend is one module providing the same names (README, "Backends").
+The functions here dispatch through ``_MODULES``, the one table that maps a
+backend name to its module, and the curvature norms, the smoothing probes
+and the Calabi energy are written once here, over the backend's
+``laplacian``, ``grad_norm`` and ``integral``.
 
-States are immutable value objects; every operation is a pure function of
-its inputs and safe to call concurrently.
+A state derives three things on first use and keeps them: its base field
+(torus h = 1 + lap0(phi), toric 1 + (1-x^2) v''), its scalar curvature S
+and its Calabi energy.  Every caller reads these, so each is computed once
+per state.  The cached arrays are read-only and take no part in equality
+or ``repr``.  States are otherwise immutable value objects, and every
+operation is a pure function of its inputs and safe to call concurrently:
+a cache fill is idempotent, so two threads that fill the same entry store
+the same bits.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import NonKahler
 from . import toric, torus
 
 TORUS = "torus"
@@ -93,6 +101,8 @@ class MetricState:
 
     potential: "TorusPotential | ToricPotential"
     t: float = 0.0
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def backend(self):
@@ -155,54 +165,111 @@ def round_state(m, t=0.0):
     return zero_state(TORIC, m, t)
 
 
-def conformal_factor(p, eps_pos=POSITIVITY_FLOOR):
-    """h = 1 + lap0(phi) for a torus potential; NonKahler below the floor."""
-    if isinstance(p, MetricState):
-        p = p.potential
-    if not isinstance(p, TorusPotential):
-        raise TypeError("conformal_factor is defined on the torus backend")
-    return ScalarField(torus.conformal_density(p.phi, eps_pos), TORUS)
-
-
 def _ops(state):
     return _MODULES[state.backend]
 
 
-def scalar_curvature(state, eps_pos=POSITIVITY_FLOOR):
-    vals = _ops(state).scalar_curvature(state.values(), eps_pos=eps_pos)
-    return ScalarField(vals, state.backend)
+def _derive(state, key, compute):
+    """``compute(state)``, kept in the state's cache; arrays read-only."""
+    value = state._derived.get(key)
+    if value is None:
+        value = compute(state)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        state._derived[key] = value
+    return value
+
+
+def _checked_base(state):
+    ops = _ops(state)
+    base = ops.base_field(state.values())
+    # Written so that non-finite values also fail.
+    if not (base.min() > POSITIVITY_FLOOR):
+        raise NonKahler(f"{ops.BASE_NAME} min {base.min():.3e} <= floor "
+                        f"{POSITIVITY_FLOOR:.1e}")
+    return base
+
+
+def base_field(state):
+    """The positive field the curvature formulas divide by.
+
+    Torus h = 1 + lap0(phi), toric 1 + (1-x^2) v''; NonKahler when its
+    minimum is not above the floor.
+    """
+    return _derive(state, "base", _checked_base)
+
+
+def _scalar(state):
+    return _derive(state, "scalar", lambda st: _ops(st).scalar_curvature(
+        st.values(), base_field(st)))
+
+
+def conformal_factor(state):
+    """h = 1 + lap0(phi) of a torus state; NonKahler below the floor."""
+    if isinstance(state, TorusPotential):
+        state = MetricState(state)
+    if not isinstance(state, MetricState) or state.backend != TORUS:
+        raise TypeError("conformal_factor is defined on the torus backend")
+    return ScalarField(base_field(state), TORUS)
+
+
+def scalar_curvature(state):
+    return ScalarField(_scalar(state), state.backend)
 
 
 def average_scalar(state):
     """Topological mean of S: 0 on the torus, 2 on the toric reduction."""
-    return _ops(state).average_scalar(state.values())
+    return _ops(state).average_scalar(base_field(state))
 
 
-def volume(state, eps_pos=POSITIVITY_FLOOR):
-    return _ops(state).volume(state.values(), eps_pos=eps_pos)
+def volume(state):
+    return _ops(state).volume(base_field(state))
 
 
-def calabi_energy(state, eps_pos=POSITIVITY_FLOOR):
-    return _ops(state).calabi_energy(state.values(), eps_pos=eps_pos)
+def _energy(state):
+    d = _scalar(state) - average_scalar(state)
+    return grid_integral(state, d * d)
 
 
-def laplacian_g(state, f, eps_pos=POSITIVITY_FLOOR):
+def calabi_energy(state):
+    """int (S - S_bar)^2 dV."""
+    return _derive(state, "energy", _energy)
+
+
+def laplacian_g(state, f):
     vals = f.values if isinstance(f, ScalarField) else np.asarray(f, float)
-    out = _ops(state).laplacian(state.values(), vals, eps_pos=eps_pos)
+    out = _ops(state).laplacian(base_field(state), vals)
     return ScalarField(out, state.backend)
 
 
-def curvature_norms(state, eps_pos=POSITIVITY_FLOOR):
-    """(sup |S|, sup |hess S|, sup |Rm|) with the package's conventions."""
-    return _ops(state).norms(state.values(), eps_pos=eps_pos)
+def curvature_norms(state):
+    """(sup |S|, sup |hess S|, sup |Rm|) with the package's conventions.
+
+    The Hessian norm is the pointwise modulus of the single mixed second
+    derivative with indices raised, |lap_g S| / 2, and |Rm| = |S| / 2 in
+    this dimension.  Both constants are convention choices shared by every
+    operation in the package.
+    """
+    s = _scalar(state)
+    sup_s = float(np.max(np.abs(s)))
+    lap_s = _ops(state).laplacian(base_field(state), s)
+    return sup_s, 0.5 * float(np.max(np.abs(lap_s))), 0.5 * sup_s
 
 
-def scalar_probes(state, eps_pos=POSITIVITY_FLOOR):
-    """Gradient and fourth-order sup norms of S used by smoothing probes."""
-    return _ops(state).scalar_probes(state.values(), eps_pos=eps_pos)
+def scalar_probes(state):
+    """(sup |grad S|_g, sup of the iterated mixed second derivative of S).
+
+    The second iterates the raised mixed derivative twice,
+    |lap_g(lap_g S)| / 4, the fourth-order quantity paired with the
+    Hessian norm in the smoothing-rate probes.
+    """
+    ops, base, s = _ops(state), base_field(state), _scalar(state)
+    sup_grad = float(np.max(ops.grad_norm(base, s)))
+    lg = ops.laplacian(base, s)
+    return sup_grad, 0.25 * float(np.max(np.abs(ops.laplacian(base, lg))))
 
 
-def grid_integral(state, values, eps_pos=POSITIVITY_FLOOR):
+def grid_integral(state, values):
     """Integral of nodal values against the metric volume form."""
     vals = values.values if isinstance(values, ScalarField) else values
-    return _ops(state).integral(state.values(), vals, eps_pos=eps_pos)
+    return _ops(state).integral(base_field(state), vals)

@@ -26,9 +26,7 @@ from numbers import Integral
 
 import numpy as np
 
-from ..errors import BadParams, NonKahler
-
-POSITIVITY_FLOOR = 1e-8
+from ..errors import BadParams
 
 # Orientation of the interval-backend flow relative to the torus potential
 # flow under the dual transform.  Frozen from the energy-decrease
@@ -36,6 +34,7 @@ POSITIVITY_FLOOR = 1e-8
 # perturbations, with +1 it rises.
 FLOW_SIGN = -1.0
 FIELD_DIM = 1  # holomorphic fields: multiples of the circle generator
+BASE_NAME = "toric positivity"  # what the positivity check reads
 ZERO_PRESET = "round"  # the preset whose correction v vanishes
 
 _CACHE = {}
@@ -118,24 +117,12 @@ def positivity(v):
     return 1.0 + o.q * (o.d2 @ v)
 
 
-def check_cone(v, eps_pos=POSITIVITY_FLOOR):
-    p = positivity(v)
-    if not (p.min() > eps_pos):
-        raise NonKahler(
-            f"toric positivity min {p.min():.3e} <= floor {eps_pos:.1e}"
-        )
-    return p
+base_field = positivity
 
 
-def rho_field(v, eps_pos=POSITIVITY_FLOOR):
-    """rho = 1 / (1 + (1-x^2) v''), exactly 1 at the round state."""
-    return 1.0 / check_cone(v, eps_pos)
-
-
-def inverse_u2(v, eps_pos=POSITIVITY_FLOOR):
+def _inverse_u2(p):
     """The smooth profile 1/u'' = (1-x^2) rho; vanishes at the endpoints."""
-    o = ops(v.shape[0])
-    return o.q * rho_field(v, eps_pos)
+    return ops(p.shape[0]).q * (1.0 / p)
 
 
 def scalar_from_rho(rho):
@@ -144,31 +131,35 @@ def scalar_from_rho(rho):
     return 2.0 * rho + 4.0 * o.x * (o.d1 @ rho) - o.q * (o.d2 @ rho)
 
 
-def scalar_curvature(v, eps_pos=POSITIVITY_FLOOR):
-    """Scalar curvature via the deviation psi = rho - 1.
+def scalar_curvature(v, p):
+    """Scalar curvature via the deviation psi = rho - 1; p = positivity(v).
 
     Writing rho = 1 + psi with psi computed pointwise keeps the round state
     exact: v = 0 gives psi = 0 bitwise and S = 2 bitwise.
     """
     o = ops(v.shape[0])
-    p = check_cone(v, eps_pos)
     psi = -(o.q * (o.d2 @ v)) / p
     return 2.0 + 2.0 * psi + 4.0 * o.x * (o.d1 @ psi) - o.q * (o.d2 @ psi)
 
 
-def laplacian(v, f, eps_pos=POSITIVITY_FLOOR):
+def laplacian(p, f):
     """Metric Laplacian lap_g f = (w f')' with w = 1/u''."""
-    o = ops(v.shape[0])
-    w = inverse_u2(v, eps_pos)
-    return o.d1 @ (w * (o.d1 @ f))
+    o = ops(p.shape[0])
+    return o.d1 @ (_inverse_u2(p) * (o.d1 @ f))
 
 
-def volume(v, eps_pos=POSITIVITY_FLOOR):
+def grad_norm(p, f):
+    """Pointwise metric gradient norm |grad f|_g = sqrt(w) |f'|."""
+    w = _inverse_u2(p)
+    return np.sqrt(np.maximum(w, 0.0)) * np.abs(ops(p.shape[0]).d1 @ f)
+
+
+def volume(p):
     """Symplectic volume of the interval; independent of the state."""
-    return float(np.sum(ops(v.shape[0]).weights))
+    return float(np.sum(ops(p.shape[0]).weights))
 
 
-def average_scalar(v):
+def average_scalar(p):
     """Average scalar curvature from the boundary data of 1/u''.
 
     Integrating S = -(1/u'')'' once gives int S dx = -[(1/u'')']_{-1}^{1}
@@ -176,44 +167,17 @@ def average_scalar(v):
     admissible v because (1-x^2) vanishes there.  The quotient by the
     volume is therefore 2, independent of the evolving state.
     """
-    o = ops(v.shape[0])
-    d2v = o.d2 @ v
-    rho_ends = 1.0 / (1.0 + o.q[[0, -1]] * d2v[[0, -1]])
+    rho_ends = 1.0 / p[[0, -1]]
     total = 2.0 * float(rho_ends.sum())
-    return total / volume(v)
+    return total / volume(p)
 
 
-def integral(v, values, eps_pos=POSITIVITY_FLOOR):
+def integral(p, values):
     """Integral against the symplectic measure dx (state-independent)."""
-    return float(np.dot(ops(v.shape[0]).weights, values))
+    return float(np.dot(ops(p.shape[0]).weights, values))
 
 
-def calabi_energy(v, eps_pos=POSITIVITY_FLOOR):
-    s = scalar_curvature(v, eps_pos)
-    d = s - average_scalar(v)
-    return integral(v, d * d)
-
-
-def norms(v, eps_pos=POSITIVITY_FLOOR):
-    """(sup |S|, sup |hess S|, sup |Rm|); same conventions as the torus."""
-    s = scalar_curvature(v, eps_pos)
-    sup_s = float(np.max(np.abs(s)))
-    sup_hess = 0.5 * float(np.max(np.abs(laplacian(v, s, eps_pos))))
-    return sup_s, sup_hess, 0.5 * sup_s
-
-
-def scalar_probes(v, eps_pos=POSITIVITY_FLOOR):
-    """(sup |grad S|_g, sup of the iterated mixed second derivative)."""
-    o = ops(v.shape[0])
-    s = scalar_curvature(v, eps_pos)
-    w = inverse_u2(v, eps_pos)
-    sup_grad = float(np.max(np.sqrt(np.maximum(w, 0.0)) * np.abs(o.d1 @ s)))
-    lg = laplacian(v, s, eps_pos)
-    sup_bihess = 0.25 * float(np.max(np.abs(laplacian(v, lg, eps_pos))))
-    return sup_grad, sup_bihess
-
-
-def evolution_operator(v, eps_pos=POSITIVITY_FLOOR):
+def scalar_evolution(p, s):
     """Spatial side of the scalar evolution identity in symplectic slicing.
 
     Along dv/dt = -(S - 2) the profile w = 1/u'' obeys dw/dt = w^2 S'', so
@@ -221,29 +185,22 @@ def evolution_operator(v, eps_pos=POSITIVITY_FLOOR):
     same field reads lap_g^2 S + S lap_g S + w (S')^2; the compact form is
     what is evaluated here.
     """
-    o = ops(v.shape[0])
-    s = scalar_curvature(v, eps_pos)
-    w = inverse_u2(v, eps_pos)
+    o = ops(p.shape[0])
+    w = _inverse_u2(p)
     # Differentiating the deviation S - 2 is exact at the round state and
     # avoids amplifying the matrix noise of D2 applied to a constant.
-    return o.d2 @ (w * w * (o.d2 @ (s - average_scalar(v))))
+    return o.d2 @ (w * w * (o.d2 @ (s - average_scalar(p))))
 
 
-scalar_evolution = evolution_operator
-
-
-def extremality_residual(v, eps_pos=POSITIVITY_FLOOR):
+def extremality_residual(p, s):
     """L2 norm of the holomorphy defect of the raised gradient field of S.
 
     For invariant states the defect has modulus |w S''| / 2, so the
     residual vanishes exactly when S is affine in the moment coordinate,
     the classical characterization of invariant extremal states.
     """
-    o = ops(v.shape[0])
-    s = scalar_curvature(v, eps_pos)
-    w = inverse_u2(v, eps_pos)
-    d = 0.5 * w * (o.d2 @ s)
-    return float(np.sqrt(integral(v, d * d)))
+    d = 0.5 * _inverse_u2(p) * (ops(p.shape[0]).d2 @ s)
+    return float(np.sqrt(integral(p, d * d)))
 
 
 def antiderivative(vals):
@@ -258,7 +215,7 @@ def antiderivative(vals):
     return np.polynomial.chebyshev.chebval(ops(m).x, anti)
 
 
-def poisson_solve(v, rhs, tol=1e-10, eps_pos=POSITIVITY_FLOOR):
+def poisson_solve(p, rhs, tol=1e-10):
     """Solve lap_g f = rhs for the quadrature-mean-zero potential f.
 
     The equation (w f')' = data integrates once to w f' = R with R the
@@ -274,18 +231,18 @@ def poisson_solve(v, rhs, tol=1e-10, eps_pos=POSITIVITY_FLOOR):
     floor a second-order collocation solve would have.  Returns
     (f, residual_sup); callers convert a bad residual into SolverFailure.
     """
-    o = ops(v.shape[0])
-    m = v.shape[0]
-    w = inverse_u2(v, eps_pos)
-    data = rhs - (o.weights @ rhs) / volume(v)
+    m = p.shape[0]
+    o = ops(m)
+    w = _inverse_u2(p)
+    data = rhs - (o.weights @ rhs) / volume(p)
     big = antiderivative(data)
-    rho = rho_field(v, eps_pos)
+    rho = 1.0 / p
     fp = np.empty(m)
     fp[1:-1] = big[1:-1] / w[1:-1]
     fp[0] = data[0] / (2.0 * rho[0])
     fp[-1] = -data[-1] / (2.0 * rho[-1])
     f = antiderivative(fp)
-    f = f - (o.weights @ f) / volume(v)
+    f = f - (o.weights @ f) / volume(p)
     resid = float(np.max(np.abs(w * (o.d1 @ f) - big)))
     return f, resid
 
@@ -318,7 +275,7 @@ def sobolev_gap(v_a, v_b):
     return float(np.sqrt(max(best, 0.0)))
 
 
-def futaki_pairing(v, f, coefficients):
+def futaki_pairing(p, f, coefficients):
     """Zero: the circle generator annihilates invariant potentials."""
     return 0.0 * coefficients[0]
 

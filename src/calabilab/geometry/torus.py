@@ -20,20 +20,19 @@ logarithms act on nodal values, which keeps the integral identities
     volume = (2 pi)^2,     integral of S dV = 0
 
 exact to rounding: both reduce to the vanishing of the zero mode of a
-spectral Laplacian.  The ``*_from_density`` helpers take h itself; the
-backend interface takes phi and derives h once per call.
+spectral Laplacian.  The state-dependent entries take h itself, the base
+field that ``geometry`` derives once per state.
 """
 
 from numbers import Integral
 
 import numpy as np
 
-from ..errors import BadParams, NonKahler
-
-POSITIVITY_FLOOR = 1e-8
+from ..errors import BadParams
 
 FLOW_SIGN = 1.0  # the flow moves phi by S - S_bar itself
 FIELD_DIM = 2  # holomorphic fields: the constant translations
+BASE_NAME = "torus conformal density"  # what the positivity check reads
 ZERO_PRESET = "flat"  # the preset whose potential vanishes
 
 _GAUGE_TOL = 1e-9
@@ -109,80 +108,54 @@ def bilap0(f):
     return np.fft.irfft2(k2 * k2 * np.fft.rfft2(f), s=f.shape)
 
 
-def conformal_density(phi, eps_pos=POSITIVITY_FLOOR):
-    """h = 1 + lap0(phi); raises NonKahler when positivity fails.
+def conformal_density(phi):
+    """h = 1 + lap0(phi); the state is Kahler where h is positive."""
+    return 1.0 + lap0(phi)
 
-    The comparison is written so that non-finite values also fail.
+
+base_field = conformal_density
+
+
+def scalar_curvature(phi, h):
+    """Riemannian scalar curvature of the metric h * (dx^2 + dy^2).
+
+    It depends on phi only through h.
     """
-    h = 1.0 + lap0(phi)
-    if not (h.min() > eps_pos):
-        raise NonKahler(
-            f"torus conformal density min {h.min():.3e} <= floor {eps_pos:.1e}"
-        )
-    return h
-
-
-def scalar_from_density(h):
-    """Riemannian scalar curvature of the metric h * (dx^2 + dy^2)."""
     return -lap0(np.log(h)) / h
 
 
-def laplacian_from_density(h, f):
+def laplacian(h, f):
     """Metric Laplacian lap_g f = lap0(f) / h."""
     return lap0(f) / h
+
+
+def grad_norm(h, f):
+    """Pointwise metric gradient norm |grad f|_g = sqrt(|grad0 f|^2 / h)."""
+    fx, fy = grad0(f)
+    return np.sqrt((fx * fx + fy * fy) / h)
 
 
 def cell_area(n):
     return (2.0 * np.pi / n) ** 2
 
 
-def integral_from_density(h, values):
+def integral(h, values):
     """Integral of a nodal field against the metric volume form h dx dy."""
     n = h.shape[0]
     return cell_area(n) * float(np.sum(values * h))
 
 
-def volume_from_density(h):
+def volume(h):
     n = h.shape[0]
     return cell_area(n) * float(np.sum(h))
 
 
-def calabi_energy_from_density(h):
-    s = scalar_from_density(h)
-    return integral_from_density(h, s * s)
+def average_scalar(h):
+    """Topological mean of S: 0 on the torus (Gauss-Bonnet)."""
+    return 0.0
 
 
-def norms_from_density(h):
-    """(sup |S|, sup |hess S|, sup |Rm|) for the conformal density h.
-
-    The Hessian norm is the pointwise modulus of the single mixed complex
-    second derivative with indices raised, |g^{zz} S_{,zz}| = |lap_g S| / 2;
-    |Rm| = |S| / 2 in this dimension.  Both constants are convention
-    choices shared by every operation in the package.
-    """
-    s = scalar_from_density(h)
-    sup_s = float(np.max(np.abs(s)))
-    sup_hess = 0.5 * float(np.max(np.abs(laplacian_from_density(h, s))))
-    return sup_s, sup_hess, 0.5 * sup_s
-
-
-def scalar_probes_from_density(h):
-    """(sup |grad S|_g, sup of the iterated mixed second derivative of S).
-
-    The first is the metric gradient norm sqrt(|grad0 S|^2 / h).  The
-    second iterates the raised mixed derivative twice, |lap_g(lap_g S)|/4,
-    the fourth-order quantity paired with the Hessian norm in the
-    smoothing-rate probes.
-    """
-    s = scalar_from_density(h)
-    sx, sy = grad0(s)
-    sup_grad = float(np.max(np.sqrt((sx * sx + sy * sy) / h)))
-    lg = laplacian_from_density(h, s)
-    sup_bihess = 0.25 * float(np.max(np.abs(laplacian_from_density(h, lg))))
-    return sup_grad, sup_bihess
-
-
-def evolution_operator(h):
+def scalar_evolution(h, s):
     """Spatial side of the scalar-curvature evolution identity.
 
     Along the flow dphi/dt = S (this backend's normalization) a direct
@@ -195,19 +168,17 @@ def evolution_operator(h):
     with dS/dt vanishes on exact solutions.  The reduction is frozen here
     and validated against a finite-difference oracle in the tests.
     """
-    s = scalar_from_density(h)
-    lg_s = laplacian_from_density(h, s)
-    return laplacian_from_density(h, lg_s) + s * lg_s
+    lg_s = laplacian(h, s)
+    return laplacian(h, lg_s) + s * lg_s
 
 
-def extremality_residual_from_density(h):
+def extremality_residual(h, s):
     """L2 norm of dbar applied to the raised gradient field of S.
 
     The field g^{zz} S_{,zbar} d/dz has the single component
     (S_x + i S_y) / h; the residual vanishes exactly when that field is
     holomorphic, which characterizes extremal states.
     """
-    s = scalar_from_density(h)
     sx, sy = grad0(s)
     xz = (sx + 1j * sy) / h
     xh = np.fft.fft2(xz)
@@ -216,10 +187,10 @@ def extremality_residual_from_density(h):
     dzbar = 0.5 * np.fft.ifft2(
         1j * (k[:, None] * xh + 1j * k[None, :] * xh)
     )
-    return float(np.sqrt(integral_from_density(h, np.abs(dzbar) ** 2)))
+    return float(np.sqrt(integral(h, np.abs(dzbar) ** 2)))
 
 
-def poisson_solve_from_density(h, rhs, tol=1e-10):
+def poisson_solve(h, rhs, tol=1e-10):
     """Solve lap_g f = rhs (zero-mean data) for the zero-mean potential f.
 
     The metric Laplacian factors exactly through the flat operator in this
@@ -229,7 +200,7 @@ def poisson_solve_from_density(h, rhs, tol=1e-10):
     data = h * rhs
     data = data - data.mean()
     f = lap0_inv(data)
-    resid = float(np.max(np.abs(laplacian_from_density(h, f) - data / h)))
+    resid = float(np.max(np.abs(laplacian(h, f) - data / h)))
     return f, resid
 
 
@@ -293,38 +264,11 @@ def _weighted_power(wgt, spec, n):
     return float(np.sum(wgt * dup[None, :] * np.abs(spec) ** 2)) / (n * n) ** 2
 
 
-def _of_phi(from_density):
-    """The interface form of a density helper: h derived once from phi."""
-    def op(phi, *args, eps_pos=POSITIVITY_FLOOR):
-        return from_density(conformal_density(phi, eps_pos), *args)
-
-    op.__doc__ = from_density.__doc__
-    return op
-
-
-# The backend interface over phi.
-scalar_curvature = _of_phi(scalar_from_density)
-volume = _of_phi(volume_from_density)
-calabi_energy = _of_phi(calabi_energy_from_density)
-laplacian = _of_phi(laplacian_from_density)
-integral = _of_phi(integral_from_density)
-norms = _of_phi(norms_from_density)
-scalar_probes = _of_phi(scalar_probes_from_density)
-scalar_evolution = _of_phi(evolution_operator)
-extremality_residual = _of_phi(extremality_residual_from_density)
-poisson_solve = _of_phi(poisson_solve_from_density)
-
-
-def average_scalar(phi):
-    """Topological mean of S: 0 on the torus (Gauss-Bonnet)."""
-    return 0.0
-
-
-def futaki_pairing(phi, f, coefficients):
+def futaki_pairing(h, f, coefficients):
     """int V(f) dV for the constant field V = a d/dx + b d/dy."""
     a, b = coefficients
     fx, fy = grad0(f)
-    return integral(phi, a * fx + b * fy)
+    return integral(h, a * fx + b * fy)
 
 
 def transport(phi, coefficients, velocity):

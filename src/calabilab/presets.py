@@ -31,6 +31,7 @@ def build_initial(backend, resolution, spec):
         raise BadParams(f"unknown preset {preset!r}")
     try:
         ops = geometry.backend_module(backend)
+        ops.check_resolution(resolution)
     except ValueError as exc:
         raise BadParams(str(exc)) from None
     if preset not in SEEDED_PRESETS:

@@ -16,10 +16,11 @@ the single character ``-``.  JSON numbers use the IEEE extensions
 
 Error taxonomy: damaged bodies (truncation, arity, unparsable tokens, a
 value count that does not fill the declared grid, values the backend
-refuses) and checkpoints without a complete engine state are
-``CorruptFile``; header-level disagreements (kind, backend, schema, a
-resolution the backend does not support) are ``SchemaMismatch``; an
-unsupported ``format_version`` is ``VersionMismatch``.
+refuses), files that do not decode as text, and checkpoints without a
+finite time or a complete engine state are ``CorruptFile``; header-level
+disagreements (kind, backend, schema, a resolution the backend does not
+support) are ``SchemaMismatch``; an unsupported ``format_version`` is
+``VersionMismatch``.
 
 Writers never leave a partial file at the final path: each writes a
 temporary file in the same directory and renames it over the target.
@@ -84,10 +85,19 @@ def _write_atomic(path, write):
             os.remove(tmp)
 
 
+def _read_text(path):
+    """The whole file as text; CorruptFile when it does not decode."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"undecodable file: {exc}") from exc
+
+
 def _header(line, want_kind):
     try:
         head = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise CorruptFile(f"unreadable header: {exc}") from exc
     if not isinstance(head, dict) or "format_version" not in head:
         raise CorruptFile("header is not a format header")
@@ -130,8 +140,7 @@ def write_trace(trace, path):
 
 
 def read_trace(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise CorruptFile("empty file")
     head = _header(lines[0], "trace")
@@ -202,8 +211,7 @@ def write_checkpoint(state, engine_dict, cfg_hash, path):
 
 
 def read_checkpoint(path, expect_backend=None, expect_resolution=None):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise CorruptFile("empty file")
     head = _header(lines[0], "checkpoint")
@@ -238,6 +246,10 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
     vals = np.array([_parse(tok) for tok in body], dtype=float)
     if np.any(np.isnan(vals)):
         raise CorruptFile("checkpoint contains missing values")
+    t = head.get("t")
+    if isinstance(t, bool) or not isinstance(t, (int, float)) \
+            or not math.isfinite(t):
+        raise CorruptFile(f"checkpoint time {t!r} is not a finite number")
     engine = head.get("engine")
     if not isinstance(engine, dict) or any(k not in engine
                                            for k in ENGINE_KEYS):
@@ -245,8 +257,7 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
             f"checkpoint engine state must carry {', '.join(ENGINE_KEYS)}"
         )
     try:
-        state = geometry.state_of(backend, vals.reshape(shape),
-                                  head.get("t", 0.0))
+        state = geometry.state_of(backend, vals.reshape(shape), t)
     except ValueError as exc:
         raise CorruptFile(f"checkpoint values: {exc}") from None
     return CheckpointData(state, engine, head.get("config_hash"))
@@ -264,10 +275,8 @@ def write_report(report_dict, path):
 
 
 def read_report(path):
-    with open(path) as fh:
-        content = fh.read()
     try:
-        head = json.loads(content)
+        head = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CorruptFile(f"unreadable report: {exc}") from exc
     if not isinstance(head, dict) or "format_version" not in head:

@@ -13,10 +13,10 @@ from calabilab import diagnostics, flow, geometry, presets, traceio
 from calabilab.errors import BadParams, SchemaMismatch
 
 INTERFACE = (
-    "FLOW_SIGN", "FIELD_DIM", "ZERO_PRESET", "check_resolution",
-    "grid_shape", "check_gauge", "scalar_curvature", "average_scalar",
-    "volume", "calabi_energy", "laplacian", "norms", "scalar_probes",
-    "integral", "scalar_evolution", "extremality_residual", "poisson_solve",
+    "FLOW_SIGN", "FIELD_DIM", "ZERO_PRESET", "BASE_NAME", "check_resolution",
+    "grid_shape", "check_gauge", "base_field", "scalar_curvature",
+    "average_scalar", "volume", "laplacian", "grad_norm", "integral",
+    "scalar_evolution", "extremality_residual", "poisson_solve",
     "sobolev_gap", "futaki_pairing", "transport", "random_potential",
     "rough_potential",
 )
@@ -103,3 +103,85 @@ def test_entry_points_accept_exactly_the_table(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaMismatch):
         traceio.read_checkpoint(path)
+
+
+@pytest.mark.parametrize("n", [4, 7, 12, 48, 2050, 4096, 8192])
+def test_build_initial_refuses_what_the_backend_refuses(backend, n):
+    ops = geometry.backend_module(backend)
+    try:
+        ops.check_resolution(n)
+        refused = False
+    except ValueError:
+        refused = True
+    for preset in (ops.ZERO_PRESET,) + presets.SEEDED_PRESETS:
+        if refused:
+            with pytest.raises(BadParams, match=f"resolution {n}"):
+                presets.build_initial(backend, n, {"preset": preset})
+        elif n <= 64:
+            state = presets.build_initial(backend, n, {"preset": preset})
+            assert state.resolution == n
+
+
+def perturbed(backend):
+    return presets.build_initial(
+        backend, 16, {"preset": "random", "seed": 3, "amplitude": 0.3})
+
+
+def test_derived_fields_are_cached_read_only_and_fresh(backend):
+    state = perturbed(backend)
+    twin = geometry.MetricState(state.potential, state.t)
+    shown = repr(state)
+    ca = geometry.calabi_energy(state)
+    base = geometry.base_field(state)
+    s = geometry.scalar_curvature(state).values
+    assert repr(state) == shown
+    assert state == twin
+    for arr in (base, s):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    assert geometry.base_field(state) is base
+    assert geometry.scalar_curvature(state).values is s
+    fresh = geometry.state_of(backend, state.values().copy(), state.t)
+    assert geometry.base_field(fresh).tobytes() == base.tobytes()
+    assert geometry.scalar_curvature(fresh).values.tobytes() == s.tobytes()
+    assert geometry.calabi_energy(fresh) == ca
+    assert ca > 0.0
+
+
+def test_step_energies_are_the_states_energies(backend):
+    state = perturbed(backend)
+    res = flow.step(state, 1e-4)
+    assert res.energy_before == geometry.calabi_energy(state)
+    fresh = geometry.state_of(backend, state.values(), state.t)
+    assert res.energy_before == geometry.calabi_energy(fresh)
+    after = geometry.state_of(backend, res.new_state.values(),
+                              res.new_state.t)
+    assert res.energy_after == geometry.calabi_energy(res.new_state)
+    assert res.energy_after == geometry.calabi_energy(after)
+
+
+FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
+                 "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def test_torus_step_fft_budget(monkeypatch):
+    # A step reads h, S and the energy of its state from the cache and
+    # derives them once for the new state: 5 transforms for the update,
+    # 2 for the new density, 2 for the new S.
+    state = presets.build_initial(
+        geometry.TORUS, 32, {"preset": "random", "seed": 3,
+                             "amplitude": 0.3})
+    geometry.calabi_energy(state)
+    calls = []
+    for name in FFT_FUNCTIONS:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    res = flow.step(state, 1e-4)
+    assert res.accepted
+    assert len(calls) <= 9

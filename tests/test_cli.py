@@ -173,6 +173,95 @@ class TestRun:
         assert "cfg.json" in payload["message"]
 
 
+def one_line_error(args, capsys):
+    """Exit code and payload of a failing command, whose stdout is the
+    single JSON error line."""
+    code = cli.main(args)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["status"] == "error"
+    return code, payload
+
+
+class TestDamagedInputs:
+    def test_checkpoint_time_that_is_not_a_number(self, tmp_path, capsys):
+        manifest = write_manifest(
+            tmp_path,
+            initial={"preset": "random", "seed": 5, "amplitude": 0.2},
+        )
+        out = tmp_path / "out"
+        run_cli(["run", manifest, "--outdir", str(out)], capsys)
+        ckpt = out / "checkpoint_0001.ckpt"
+        lines = ckpt.read_text().splitlines()
+        head = json.loads(lines[0])
+        head["t"] = "soon"
+        lines[0] = json.dumps(head, sort_keys=True)
+        ckpt.write_text("\n".join(lines) + "\n")
+        code, payload = one_line_error(
+            ["run", manifest, "--outdir", str(tmp_path / "o2"),
+             "--resume", str(ckpt)], capsys)
+        assert code == 1
+        assert payload["error_class"] == "CorruptFile"
+
+    @pytest.mark.parametrize("command", ["analyze", "resume"])
+    def test_input_that_is_not_text(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe not text\n")
+        if command == "analyze":
+            args = ["analyze", str(bad), "--outdir", str(tmp_path)]
+        else:
+            args = ["run", write_manifest(tmp_path), "--outdir",
+                    str(tmp_path / "out"), "--resume", str(bad)]
+        code, payload = one_line_error(args, capsys)
+        assert code == 1
+        assert payload["error_class"] == "CorruptFile"
+
+
+class TestAtomicOutputs:
+    def test_failed_series_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "run.ca.dat"
+        cli._write_series(path, [(0.0, 1.0), (0.5, 0.25)])
+        before = path.read_bytes()
+
+        def pairs():
+            yield 0.0, 2.0
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            cli._write_series(path, pairs())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_failed_sweep_summary_keeps_the_earlier_file(
+            self, tmp_path, capsys, monkeypatch):
+        write_manifest(tmp_path, name="sweep_1.json")
+        runs = tmp_path / "runs"
+        args = ["sweep", str(tmp_path / "sweep_*.json"), "--jobs", "1",
+                "--outdir", str(runs)]
+        code, payload = run_cli(args, capsys)
+        assert code == 0
+        summary = runs / "sweep_summary.json"
+        before = summary.read_bytes()
+        write_atomic = traceio._write_atomic
+
+        def failing(path, write):
+            if os.path.basename(path) != summary.name:
+                return write_atomic(path, write)
+
+            def half(fh):
+                fh.write("{")
+                raise OSError("disk full")
+
+            return write_atomic(path, half)
+
+        monkeypatch.setattr(traceio, "_write_atomic", failing)
+        with pytest.raises(OSError):
+            cli.main(args)
+        assert summary.read_bytes() == before
+        assert sorted(os.listdir(runs)) == ["sweep_1", summary.name]
+
+
 class TestAnalyze:
     def test_type_one_synthetic(self, tmp_path, capsys):
         tr = scale.synthetic_trace("typeI", t_sing=5.0, t0=0.0, t1=4.99,

@@ -61,16 +61,16 @@ class TestEvolutionResidual:
         state = torus_state(amp=0.3, kmax=3)
         phi = state.potential.phi
         h = torus.conformal_density(phi)
-        direction = torus.scalar_from_density(h)
+        direction = torus.scalar_curvature(phi, h)
         eps = 1e-7
 
         def s_of(p):
             p = p - p.mean()
-            return torus.scalar_from_density(torus.conformal_density(p))
+            return torus.scalar_curvature(p, torus.conformal_density(p))
 
         ds = (s_of(phi + eps * direction) - s_of(phi - eps * direction)) \
             / (2 * eps)
-        spatial = torus.evolution_operator(h)
+        spatial = torus.scalar_evolution(h, direction)
         scale = np.max(np.abs(spatial))
         assert np.max(np.abs(ds + spatial)) < 1e-6 * scale
 
@@ -79,12 +79,16 @@ class TestEvolutionResidual:
             "toric1d", 96, {"preset": "random", "seed": 1, "amplitude": 0.1}
         )
         v = state.potential.v
-        s = toric.scalar_curvature(v)
+
+        def s_of(w):
+            return toric.scalar_curvature(w, toric.positivity(w))
+
+        s = s_of(v)
         direction = flow.TORIC_FLOW_SIGN * (s - 2.0)
         eps = 1e-6
-        ds = (toric.scalar_curvature(v + eps * direction)
-              - toric.scalar_curvature(v - eps * direction)) / (2 * eps)
-        spatial = toric.evolution_operator(v)
+        ds = (s_of(v + eps * direction)
+              - s_of(v - eps * direction)) / (2 * eps)
+        spatial = toric.scalar_evolution(toric.positivity(v), s)
         scale = np.max(np.abs(spatial))
         assert np.max(np.abs(ds + spatial)) < 1e-5 * scale
 

@@ -40,15 +40,15 @@ class TestRhs:
         for seed in (1, 5, 11):
             state = toric_state(seed=seed)
             v = state.potential.v
-            s = toric.scalar_curvature(v)
-            ca0 = toric.calabi_energy(v)
+            s = geometry.scalar_curvature(state).values
+            ca0 = geometry.calabi_energy(state)
             dt = 1e-7
-            good = toric.calabi_energy(
+            good = geometry.calabi_energy(geometry.toric_state(
                 toric.strip_affine(v + dt * flow.TORIC_FLOW_SIGN * (s - 2.0))
-            )
-            bad = toric.calabi_energy(
+            ))
+            bad = geometry.calabi_energy(geometry.toric_state(
                 toric.strip_affine(v - dt * flow.TORIC_FLOW_SIGN * (s - 2.0))
-            )
+            ))
             assert good < ca0 < bad
 
 

@@ -127,7 +127,7 @@ class TestRescaleCovariance:
         # curvature formula is linear in rho.
         m = 64
         state = perturbed(m, seed=5, amp=0.3)
-        rho = toric.rho_field(state.potential.v)
+        rho = 1.0 / geometry.base_field(state)
         s1 = toric.scalar_from_rho(rho)
         s2 = toric.scalar_from_rho(rho / a)
         assert np.allclose(s2, s1 / a, rtol=0, atol=1e-12 * np.max(np.abs(s1)))

@@ -142,9 +142,17 @@ class TestCurvatureNorms:
     def test_rescale_covariance(self, a):
         # Feeding A*h into the density-level formulas realizes g -> A g.
         state = _random_state(32, np.random.default_rng(5), amp=0.4)
-        h = torus.conformal_density(state.potential.phi)
-        o1, p1, q1 = torus.norms_from_density(h)
-        o2, p2, q2 = torus.norms_from_density(a * h)
+        phi = state.potential.phi
+        h = torus.conformal_density(phi)
+
+        def norms(dens):
+            s = torus.scalar_curvature(phi, dens)
+            sup_s = np.max(np.abs(s))
+            return (sup_s, 0.5 * np.max(np.abs(torus.laplacian(dens, s))),
+                    0.5 * sup_s)
+
+        o1, p1, q1 = norms(h)
+        o2, p2, q2 = norms(a * h)
         assert np.isclose(o2, o1 / a, rtol=1e-13)
         assert np.isclose(p2, p1 / a ** 2, rtol=1e-13)
         assert np.isclose(q2, q1 / a, rtol=1e-13)

@@ -211,6 +211,20 @@ class TestCheckpoint:
         with pytest.raises(SchemaMismatch):
             traceio.read_checkpoint(path)
 
+    @pytest.mark.parametrize("t", ["soon", None, True, float("nan"),
+                                   float("inf"), [0.5]])
+    def test_time_must_be_a_finite_number(self, tmp_path, t):
+        path = tmp_path / "s.ckpt"
+        traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
+                                 path)
+        lines = self.rewrite_header(path, t=t)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptFile):
+            traceio.read_checkpoint(path)
+        lines = self.rewrite_header(path, t=2)
+        path.write_text("\n".join(lines) + "\n")
+        assert traceio.read_checkpoint(path).state.t == 2
+
     def test_values_the_backend_refuses(self, tmp_path):
         path = tmp_path / "s.ckpt"
         traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
@@ -220,6 +234,15 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorruptFile):
             traceio.read_checkpoint(path)
+
+
+@pytest.mark.parametrize("read", [traceio.read_trace, traceio.read_checkpoint,
+                                  traceio.read_report])
+def test_file_that_is_not_text_is_corrupt(tmp_path, read):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"format_version": 1}).encode())
+    with pytest.raises(CorruptFile):
+        read(path)
 
 
 class TestAtomicWrites:
