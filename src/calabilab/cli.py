@@ -13,6 +13,7 @@ Progress goes to stderr; results and summaries go to stdout as JSON.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import glob
 import json
 import math
@@ -94,55 +95,17 @@ def cmd_run(args):
         trace_name = "run.trace"
     trace_path = os.path.join(outdir, trace_name)
     traceio.write_trace(result.trace, trace_path)
-    last = result.trace.samples[-1]
     summary = {
         "status": "ok",
         "trace": trace_path,
         "termination": result.trace.termination,
         "reason": result.reason,
         "t_final": result.final_state.t,
-        "final_energy": last.calabi_energy,
-        "samples": len(result.trace.samples),
+        "final_energy": float(result.trace.columns["calabi_energy"][-1]),
+        "samples": len(result.trace),
     }
     print(json.dumps(summary, sort_keys=True))
     return 0
-
-
-def _report_dict(rep):
-    growth = {
-        "anchor": rep.growth.anchor,
-        "eps0_max": rep.growth.eps0_max,
-        "eps0": rep.growth.eps0,
-        "holds": rep.growth.holds,
-    }
-    rates = None
-    if rep.rates is not None:
-        rates = {
-            "sup_pt": rep.rates.sup_pt,
-            "sup_oq": rep.rates.sup_oq,
-            "sup_qroot": rep.rates.sup_qroot,
-            "sup_q2t": rep.rates.sup_q2t,
-            "type1": rep.rates.type1,
-            "lam_fit": rep.rates.lam_fit,
-            "alpha": rep.rates.alpha,
-            "t_sing": rep.rates.t_sing,
-        }
-    return {
-        "curvature_scale": [[t, f] for t, f in rep.f_values],
-        "doubling": [
-            {"t0": d.t0, "t1": d.t1, "p_integral": d.p_integral}
-            for d in rep.doubling
-        ],
-        "growth": growth,
-        "barrier": [
-            {"t0": b.t0, "verdict": b.verdict,
-             "window_start": b.window_start,
-             "first_violation": b.first_violation, "margin": b.margin}
-            for b in rep.barrier
-        ],
-        "rates": rates,
-        "meta": rep.meta,
-    }
 
 
 def _write_series(path, pairs):
@@ -164,7 +127,9 @@ def cmd_analyze(args):
                              os.path.dirname(os.path.abspath(args.trace)))
     stem = os.path.splitext(os.path.basename(args.trace))[0]
     report_path = os.path.join(outdir, f"{stem}.report.json")
-    traceio.write_report(_report_dict(rep), report_path)
+    report = dataclasses.asdict(rep)
+    report["curvature_scale"] = report.pop("f_values")
+    traceio.write_report(report, report_path)
     series_fields = {
         "calabi_energy": "ca",
         "sup_scalar": "sup_scalar",
@@ -175,7 +140,7 @@ def cmd_analyze(args):
     for field, tag in series_fields.items():
         t, y = trace.series(field)
         path = os.path.join(outdir, f"{stem}.{tag}.dat")
-        _write_series(path, zip(map(float, t), map(float, y)))
+        _write_series(path, zip(t.tolist(), y.tolist()))
         written.append(path)
     fpath = os.path.join(outdir, f"{stem}.curvature_scale.dat")
     _write_series(fpath, rep.f_values)
@@ -210,13 +175,12 @@ def _sweep_worker(item):
             eps0_max = scale.growth_bound_check(result.trace).eps0_max
         except CalabiLabError:
             eps0_max = None
-        last = result.trace.samples[-1]
         return {
             "manifest": manifest_path,
             "status": "ok",
             "trace": trace_path,
             "termination": result.trace.termination,
-            "final_energy": last.calabi_energy,
+            "final_energy": float(result.trace.columns["calabi_energy"][-1]),
             "eps0_max": eps0_max,
         }
     except Exception as exc:  # worker failures must not kill the pool

@@ -38,6 +38,10 @@ class DiagnosticsSample:
 
 SAMPLE_SCHEMA = tuple(f.name for f in fields(DiagnosticsSample))
 
+# The fields a sample may leave blank (``None``; ``-`` in a trace file).
+OPTIONAL_FIELDS = tuple(f.name for f in fields(DiagnosticsSample)
+                        if f.default is None)
+
 
 @dataclass(frozen=True)
 class VectorFieldSpec:
@@ -183,29 +187,25 @@ def smoothing_probe(trace, bound, orders=(1, 2)):
     envelope's hypothesis fails there.  The interpolation ratio
     sup |hess S| / sup |S|^(1/2) is logged alongside.
     """
-    samples = getattr(trace, "samples", trace)
-    if len(samples) < 2:
+    col = trace.columns
+    t, q = col["t"], col["sup_curv"]
+    if t.size < 2:
         raise DomainError("smoothing probe needs at least two samples")
-    t0 = samples[0].t
-    worst = max(s.sup_curv for s in samples)
+    worst = float(np.max(q))
     if worst > bound * (1.0 + 1e-12):
         raise DomainError(
             f"curvature bound violated: sup |Rm| = {worst:.3e} > {bound:.3e}"
         )
+    tau = t - t[0]
+    later = tau > 0.0
+    envelope = bound + tau[later] ** -0.5
     constants = {}
     for order in orders:
-        best = 0.0
-        for rec in samples:
-            tau = rec.t - t0
-            if tau <= 0.0:
-                continue
-            num = 0.5 * (
-                rec.sup_grad_scalar if order == 1 else rec.sup_hess_scalar
-            )
-            best = max(best, num / (bound + tau ** -0.5) ** (1.0 + order / 2.0))
-        constants[order] = best
-    ratio = 0.0
-    for rec in samples:
-        if rec.sup_scalar > 1e-300:
-            ratio = max(ratio, rec.sup_hess_scalar / rec.sup_scalar ** 0.5)
+        num = 0.5 * col["sup_grad_scalar" if order == 1
+                        else "sup_hess_scalar"][later]
+        constants[order] = float(np.max(
+            num / envelope ** (1.0 + order / 2.0), initial=0.0))
+    o, p = col["sup_scalar"], col["sup_hess_scalar"]
+    curved = o > 1e-300
+    ratio = float(np.max(p[curved] / o[curved] ** 0.5, initial=0.0))
     return SmoothingProbe(constants=constants, interp_ratio_sup=ratio)

@@ -23,11 +23,9 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import diagnostics, geometry, traceio
-from .errors import NonKahler, StepTooSmall
+from .errors import NonKahler, SchemaMismatch, StepTooSmall
 from .geometry import TORIC, TORUS, MetricState, toric, torus
 from .scale import Trace
-
-TORIC_FLOW_SIGN = toric.FLOW_SIGN
 
 ACCEPT_STREAK = 8
 
@@ -316,8 +314,6 @@ def resume(cfg, checkpoint, checkpoint_dir=None, on_accept=None):
     """Continue a run from checkpoint data (see traceio.read_checkpoint)."""
     expected = traceio.config_hash(asdict(cfg))
     if checkpoint.config_hash != expected:
-        from .errors import SchemaMismatch
-
         raise SchemaMismatch(
             f"checkpoint config hash {checkpoint.config_hash} does not match "
             f"the supplied config {expected}"

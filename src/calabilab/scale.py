@@ -29,8 +29,8 @@ blowup rates
     tail, a type-I boundedness flag for Q^2 (T-t), and the smallest grid
     exponent lam with Q*(T-t)^lam non-increasing.
 
-The window algebra is table-backed.  A ``Trace`` builds each numeric
-column and each curve once and caches it.  A ``PiecewiseLinear`` answers
+The window algebra is table-backed.  A ``Trace`` stores read-only
+columns and builds each curve from them once.  A ``PiecewiseLinear`` answers
 a window maximum from the interpolated endpoints plus a range-maximum
 query on a sparse table over its knot values (Bender & Farach-Colton,
 LATIN 2000), and a window integral from a cumulative-trapezoid prefix sum
@@ -42,12 +42,14 @@ same doubles a direct scan gives; integrals agree with a direct trapezoid
 sum to rounding.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import SAMPLE_SCHEMA, DiagnosticsSample
+from .diagnostics import OPTIONAL_FIELDS, SAMPLE_SCHEMA, DiagnosticsSample
 from .errors import BadParams, DomainError
 
 TERMINATIONS = ("completed", "stop_energy", "left_cone", "error")
@@ -55,57 +57,131 @@ TERMINATIONS = ("completed", "stop_energy", "left_cone", "error")
 BISECT_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Time-ordered diagnostics samples plus run metadata.
+_RECORD = operator.attrgetter(*SAMPLE_SCHEMA)
 
-    ``samples`` is the stored record (``None`` and ``nan`` stay distinct);
-    the numeric columns and curves derived from it are cached per trace and
-    take no part in equality.
+# The schema lists the required fields first, then the optional ones.
+_N_REQUIRED = len(SAMPLE_SCHEMA) - len(OPTIONAL_FIELDS)
+
+# Records parsed per block, which bounds the peak memory of a long read.
+_BLOCK = 1024
+
+
+def record_columns(rows, blank):
+    """(columns, absent) of records that list their fields in schema order.
+
+    Values go through ``float``, so numeric strings parse.  An entry equal
+    to ``blank`` is absent; in a required field it raises ValueError.
+    ``rows`` may be an iterator; it is converted a block at a time.
+    """
+    rows = iter(rows)
+    width = len(SAMPLE_SCHEMA)
+    values, blanks = [np.empty((0, width))], [np.empty((0, width), bool)]
+    while block := list(itertools.islice(rows, _BLOCK)):
+        if any(len(row) != width for row in block):
+            raise ValueError("a sample's arity differs from the schema's")
+        grid = np.array(block, dtype=object)
+        blanks.append(grid == blank)
+        grid[blanks[-1]] = math.nan
+        values.append(grid.astype(float))
+    values, blanks = np.concatenate(values), np.concatenate(blanks)
+    missing = np.flatnonzero(blanks[:, :_N_REQUIRED].any(axis=0))
+    if missing.size:
+        raise ValueError(
+            f"required column {SAMPLE_SCHEMA[missing[0]]} is missing")
+    return (dict(zip(SAMPLE_SCHEMA, values.T)),
+            dict(zip(OPTIONAL_FIELDS, blanks[:, _N_REQUIRED:].T)))
+
+
+class Trace:
+    """Time-ordered diagnostics samples plus run metadata, stored as columns.
+
+    ``columns`` maps each ``SAMPLE_SCHEMA`` field to a read-only float64
+    array.  ``absent`` maps each optional field to a read-only mask of the
+    samples that leave it blank; those entries read nan in the column, so
+    a blank and a recorded nan stay distinct.  ``Trace(samples, t_start,
+    t_end, termination, metadata)`` adapts ``DiagnosticsSample`` records.
+
+    A trace is immutable.  Equality compares ``t_start``, ``t_end``,
+    ``termination``, ``metadata``, the masks and every column bit for bit;
+    every nan is stored as the one quiet nan, so nans at the same position
+    match.  The cached curves take no part in equality.
     """
 
-    samples: tuple
-    t_start: float
-    t_end: float
-    termination: str
-    metadata: dict = field(default_factory=dict)
-    _columns: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
-    _curves: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    def __init__(self, samples, t_start, t_end, termination, metadata=None):
+        columns, absent = record_columns(map(_RECORD, samples), None)
+        self._store(columns, absent, t_start, t_end, termination, metadata)
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if self.termination not in TERMINATIONS:
-            raise ValueError(f"unknown termination {self.termination!r}")
-        times = self._column("t")
+    @classmethod
+    def from_columns(cls, columns, t_start, t_end, termination,
+                     metadata=None, absent=None):
+        """A trace of one 1-D array per schema field, all of one length;
+        ``absent`` maps optional fields to blank masks (default: none)."""
+        trace = cls.__new__(cls)
+        trace._store(columns, absent or {}, t_start, t_end, termination,
+                     metadata)
+        return trace
+
+    def _store(self, columns, absent, t_start, t_end, termination, metadata):
+        if termination not in TERMINATIONS:
+            raise ValueError(f"unknown termination {termination!r}")
+        values = np.array([columns[name] for name in SAMPLE_SCHEMA],
+                          dtype=float)
+        if values.ndim != 2:
+            raise ValueError("columns must be 1-D arrays of one length")
+        blank = np.zeros((len(OPTIONAL_FIELDS), values.shape[1]), dtype=bool)
+        for i, name in enumerate(OPTIONAL_FIELDS):
+            blank[i] = absent.get(name, False)
+        values[_N_REQUIRED:][blank] = math.nan
+        values[np.isnan(values)] = math.nan
+        values.setflags(write=False)
+        blank.setflags(write=False)
+        times = values[SAMPLE_SCHEMA.index("t")]
+        if not np.all(np.isfinite(times)):
+            raise ValueError("sample times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        if times.size and (times[0] < self.t_start - 1e-12
-                           or times[-1] > self.t_end + 1e-12):
+        if times.size and (times[0] < t_start - 1e-12
+                           or times[-1] > t_end + 1e-12):
             raise ValueError("samples outside [t_start, t_end]")
+        vars(self).update(
+            columns=dict(zip(SAMPLE_SCHEMA, values)),
+            absent=dict(zip(OPTIONAL_FIELDS, blank)),
+            t_start=t_start, t_end=t_end, termination=termination,
+            metadata={} if metadata is None else metadata, _curves={})
 
-    def _column(self, name):
-        col = self._columns.get(name)
-        if col is None:
-            col = np.array(
-                [math.nan if v is None else v
-                 for v in (getattr(s, name) for s in self.samples)],
-                dtype=float,
-            )
-            col.setflags(write=False)
-            self._columns[name] = col
-        return col
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trace is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            (self.t_start, self.t_end, self.termination, self.metadata)
+            == (other.t_start, other.t_end, other.termination, other.metadata)
+            and all(np.array_equal(self.absent[name], other.absent[name])
+                    for name in OPTIONAL_FIELDS)
+            and all(np.array_equal(self.columns[name].view(np.int64),
+                                   other.columns[name].view(np.int64))
+                    for name in SAMPLE_SCHEMA)
+        )
 
     def series(self, name):
-        """(times, values) arrays for one sample field; None becomes nan.
+        """(times, values) read-only columns of one field; blanks are nan."""
+        return self.columns["t"], self.columns[name]
 
-        Both arrays are built once per trace and are read-only.
-        """
-        return self._column("t"), self._column(name)
+    def rows(self):
+        """Each sample's fields in schema order, ``None`` where blank."""
+        grid = np.array(list(self.columns.values())).T.astype(object)
+        grid[:, _N_REQUIRED:][np.array(list(self.absent.values())).T] = None
+        return grid.tolist()
+
+    @property
+    def samples(self):
+        """The samples as ``DiagnosticsSample`` records, built on access."""
+        return tuple(DiagnosticsSample(*row) for row in self.rows())
 
     def __len__(self):
-        return len(self.samples)
+        return self.columns["t"].size
 
 
 class PiecewiseLinear:
@@ -550,6 +626,7 @@ def blowup_rates(trace, t_sing, alpha, type1_threshold=10.0, lam_grid=None):
                        float(alpha), float(t_sing))
 
 
+# Fields divided by A^k under g -> A g; volume and futaki are multiplied by A.
 _SCALE_RULES = {
     "sup_scalar": 1,
     "sup_hess_scalar": 2,
@@ -559,6 +636,7 @@ _SCALE_RULES = {
     "sup_grad_scalar": 1.5,
     "sup_bihess_scalar": 3,
     "evolution_residual": 3,
+    "aut_gap": 0,
 }
 
 
@@ -577,34 +655,16 @@ def rescale_trace(trace, a, t0=None):
     if t0 is None:
         t0 = trace.t_start
     a2 = a * a
-    out = []
-    for s in trace.samples:
-        kw = {"t": a2 * (s.t - t0)}
-        for name in SAMPLE_SCHEMA[1:]:
-            val = getattr(s, name)
-            if val is None:
-                kw[name] = None
-            elif name in _SCALE_RULES:
-                kw[name] = val / a ** _SCALE_RULES[name]
-            elif name == "volume":
-                kw[name] = val * a
-            elif name == "futaki":
-                kw[name] = val * a
-            else:  # aut_gap
-                kw[name] = val
-        out.append(DiagnosticsSample(**kw))
+    cols = {"t": a2 * (trace.columns["t"] - t0),
+            "volume": trace.columns["volume"] * a,
+            "futaki": trace.columns["futaki"] * a}
+    for name, k in _SCALE_RULES.items():
+        cols[name] = trace.columns[name] / a ** k
     meta = dict(trace.metadata)
     meta["rescaled_by"] = meta.get("rescaled_by", 1.0) * a
-    return Trace(tuple(out), a2 * (trace.t_start - t0),
-                 a2 * (trace.t_end - t0), trace.termination, meta)
-
-
-def _blank_sample(t, q, p=0.0, o=0.0):
-    return DiagnosticsSample(
-        t=float(t), sup_scalar=float(o), sup_hess_scalar=float(p),
-        sup_curv=float(q), calabi_energy=0.0, volume=1.0, mean_scalar=0.0,
-        sup_grad_scalar=0.0, sup_bihess_scalar=0.0,
-    )
+    return Trace.from_columns(cols, a2 * (trace.t_start - t0),
+                              a2 * (trace.t_end - t0), trace.termination,
+                              meta, trace.absent)
 
 
 def synthetic_trace(kind, **params):
@@ -627,7 +687,7 @@ def synthetic_trace(kind, **params):
             if n < 2 or t1 <= t0 or value < 0:
                 raise BadParams("bad constant-trace parameters")
             ts = np.linspace(t0, t1, n)
-            samples = [_blank_sample(t, value, p, o) for t in ts]
+            q = value
         elif kind in ("typeI", "typeII"):
             t_sing = float(params.pop("t_sing"))
             t0 = float(params.pop("t0", 0.0))
@@ -640,25 +700,21 @@ def synthetic_trace(kind, **params):
                 raise BadParams("bad power-law-trace parameters")
             expo = -0.5 if kind == "typeI" else -1.0
             ts = np.linspace(t0, t1, n)
-            samples = [
-                _blank_sample(t, (t_sing - t) ** expo, p, o) for t in ts
-            ]
+            # Scalar powers: numpy's vectorized power can differ from the
+            # C library's in the last bit.
+            q = np.array([(t_sing - t) ** expo for t in ts])
         elif kind == "sawtooth":
-            times = np.asarray(params.pop("times"), dtype=float)
+            ts = np.asarray(params.pop("times"), dtype=float)
             q = np.asarray(params.pop("q"), dtype=float)
-            p = np.asarray(params.pop("p", np.zeros_like(times)), dtype=float)
-            o = np.asarray(params.pop("o", np.zeros_like(times)), dtype=float)
+            p = np.asarray(params.pop("p", np.zeros_like(ts)), dtype=float)
+            o = np.asarray(params.pop("o", np.zeros_like(ts)), dtype=float)
             _reject_extra(params)
-            if times.size < 2 or np.any(np.diff(times) <= 0):
+            if ts.size < 2 or np.any(np.diff(ts) <= 0):
                 raise BadParams("sawtooth times must be strictly increasing")
-            if not (times.size == q.size == p.size == o.size):
+            if not (ts.size == q.size == p.size == o.size):
                 raise BadParams("sawtooth arrays must share one length")
             if np.any(q < 0) or np.any(p < 0) or np.any(o < 0):
                 raise BadParams("envelope curves are nonnegative sup-norms")
-            samples = [
-                _blank_sample(t, qq, pp, oo)
-                for t, qq, pp, oo in zip(times, q, p, o)
-            ]
         elif kind == "oscillatory":
             t0 = float(params.pop("t0", 0.0))
             t1 = float(params.pop("t1", 10.0))
@@ -670,15 +726,19 @@ def synthetic_trace(kind, **params):
             if n < 2 or t1 <= t0 or base <= abs(amp):
                 raise BadParams("oscillatory trace needs base > |amp|")
             ts = np.linspace(t0, t1, n)
-            samples = [
-                _blank_sample(t, base + amp * math.sin(freq * t)) for t in ts
-            ]
+            q = np.array([base + amp * math.sin(freq * t) for t in ts])
+            p = o = 0.0
         else:
             raise BadParams(f"unknown synthetic trace kind {kind!r}")
     except KeyError as exc:
         raise BadParams(f"missing parameter {exc}") from exc
-    return Trace(tuple(samples), samples[0].t, samples[-1].t, "completed",
-                 {"synthetic": kind})
+    cols = dict.fromkeys(SAMPLE_SCHEMA, np.zeros(ts.size))
+    cols.update(t=ts, sup_scalar=np.broadcast_to(o, ts.shape),
+                sup_hess_scalar=np.broadcast_to(p, ts.shape),
+                sup_curv=np.broadcast_to(q, ts.shape), volume=np.ones(ts.size))
+    return Trace.from_columns(cols, float(ts[0]), float(ts[-1]), "completed",
+                              {"synthetic": kind},
+                              dict.fromkeys(OPTIONAL_FIELDS, True))
 
 
 def _reject_extra(params):
@@ -706,30 +766,32 @@ def analyze_trace(trace, alpha=0.5, eps0=None, t_sing=None, max_points=512):
     very long traces.  The window algebra is O(1) per query, so the stride
     only bounds the size of the report.
     """
-    stride = max(1, (len(trace.samples) + max_points - 1) // max_points)
-    eval_samples = trace.samples[::stride]
-    if trace.samples and eval_samples[-1] is not trace.samples[-1]:
-        eval_samples = eval_samples + (trace.samples[-1],)
-    f_times = [s.t for s in eval_samples if s.t > trace.t_start]
+    times = trace.columns["t"]
+    stride = max(1, (len(trace) + max_points - 1) // max_points)
+    eval_times = times[::stride]
+    if (len(trace) - 1) % stride:
+        eval_times = np.append(eval_times, times[-1])
+    f_times = eval_times[eval_times > trace.t_start]
     f_vals = ()
-    if f_times:
-        f_vals = tuple(zip(f_times, curvature_scales(trace, f_times).tolist()))
+    if f_times.size:
+        f_vals = tuple(zip(f_times.tolist(),
+                           curvature_scales(trace, f_times).tolist()))
     try:
         growth = growth_bound_check(trace, eps0=eps0)
     except DomainError:
         growth = GrowthBound(anchor=math.nan, eps0_max=math.inf,
                              eps0=eps0, holds=None)
     barrier = []
-    for s in eval_samples:
+    for t0 in eval_times.tolist():
         try:
-            rep = barrier_check(trace, s.t)
+            rep = barrier_check(trace, t0)
         except DomainError:
             continue
         barrier.append(rep)
     rates = None
     if t_sing is None:
         t_sing = trace.t_end
-    if any(s.t < t_sing for s in trace.samples):
+    if np.any(times < t_sing):
         rates = blowup_rates(trace, t_sing, alpha)
     _, ca = trace.series("calabi_energy")
     meta = {

@@ -15,12 +15,14 @@ the single character ``-``.  JSON numbers use the IEEE extensions
 (``Infinity``/``NaN``) accepted by the standard library parser.
 
 Error taxonomy: damaged bodies (truncation, arity, unparsable tokens, a
-value count that does not fill the declared grid, values the backend
-refuses), files that do not decode as text, and checkpoints without a
-finite time or a complete engine state are ``CorruptFile``; header-level
-disagreements (kind, backend, schema, a resolution the backend does not
-support) are ``SchemaMismatch``; an unsupported ``format_version`` is
-``VersionMismatch``.
+blank required column, sample times that are not finite, strictly
+increasing and inside [t_start, t_end], a value count that does not fill
+the declared grid, values the backend refuses), files that do not decode
+as text, traces without a finite ``t_start`` and ``t_end``, and
+checkpoints without a finite time or a complete engine state are
+``CorruptFile``; header-level disagreements (kind, backend, schema, a
+resolution the backend does not support) are ``SchemaMismatch``; an
+unsupported ``format_version`` is ``VersionMismatch``.
 
 Writers never leave a partial file at the final path: each writes a
 temporary file in the same directory and renames it over the target.
@@ -35,9 +37,9 @@ import threading
 import numpy as np
 
 from . import geometry
-from .diagnostics import SAMPLE_SCHEMA, DiagnosticsSample
+from .diagnostics import SAMPLE_SCHEMA
 from .errors import CorruptFile, SchemaMismatch, VersionMismatch
-from .scale import TERMINATIONS, Trace
+from .scale import TERMINATIONS, Trace, record_columns
 
 FORMAT_VERSION = 1
 
@@ -57,15 +59,6 @@ def _fmt(x):
     if x is None:
         return "-"
     return repr(float(x))
-
-
-def _parse(tok):
-    if tok == "-":
-        return None
-    try:
-        return float(tok)
-    except ValueError as exc:
-        raise CorruptFile(f"unparsable float token {tok!r}") from exc
 
 
 def _write_atomic(path, write):
@@ -94,9 +87,10 @@ def _read_text(path):
         raise CorruptFile(f"undecodable file: {exc}") from exc
 
 
-def _header(line, want_kind):
+def _header(text, want_kind):
+    """The format header in ``text`` (JSON), checked for version and kind."""
     try:
-        head = json.loads(line)
+        head = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorruptFile(f"unreadable header: {exc}") from exc
     if not isinstance(head, dict) or "format_version" not in head:
@@ -121,7 +115,7 @@ def write_trace(trace, path):
         "resolution": trace.metadata.get("resolution"),
         "config_hash": trace.metadata.get("config_hash"),
         "schema": list(SAMPLE_SCHEMA),
-        "n_samples": len(trace.samples),
+        "n_samples": len(trace),
         "t_start": trace.t_start,
         "t_end": trace.t_end,
         "termination": trace.termination,
@@ -130,13 +124,18 @@ def write_trace(trace, path):
 
     def write(fh):
         fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for s in trace.samples:
-            fh.write(
-                " ".join(_fmt(getattr(s, name)) for name in SAMPLE_SCHEMA)
-                + "\n"
-            )
+        for row in trace.rows():
+            fh.write(" ".join(map(_fmt, row)) + "\n")
 
     _write_atomic(path, write)
+
+
+def _finite_number(value, what):
+    """``value`` if it is a finite int or float (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise CorruptFile(f"{what} {value!r} is not a finite number")
+    return value
 
 
 def read_trace(path):
@@ -147,37 +146,28 @@ def read_trace(path):
     for key in ("schema", "n_samples", "t_start", "t_end", "termination"):
         if key not in head:
             raise CorruptFile(f"trace header is missing {key!r}")
-    if list(head["schema"]) != list(SAMPLE_SCHEMA):
+    if head["schema"] != list(SAMPLE_SCHEMA):
         raise SchemaMismatch("trace schema differs from this build's schema")
     if head["termination"] not in TERMINATIONS:
         raise SchemaMismatch(
             f"unknown termination {head['termination']!r}"
         )
+    t_start = _finite_number(head["t_start"], "trace t_start")
+    t_end = _finite_number(head["t_end"], "trace t_end")
     body = lines[1:]
     if len(body) != head["n_samples"]:
         raise CorruptFile(
             f"expected {head['n_samples']} samples, found {len(body)} lines"
         )
-    samples = []
-    for line in body:
-        toks = line.split()
-        if len(toks) != len(SAMPLE_SCHEMA):
-            raise CorruptFile(
-                f"sample arity {len(toks)} != schema arity "
-                f"{len(SAMPLE_SCHEMA)}"
-            )
-        vals = dict(zip(SAMPLE_SCHEMA, (_parse(t) for t in toks)))
-        for name in SAMPLE_SCHEMA[:9]:
-            if vals[name] is None:
-                raise CorruptFile(f"required column {name} is missing")
-        samples.append(DiagnosticsSample(**vals))
-    return Trace(
-        samples=tuple(samples),
-        t_start=head["t_start"],
-        t_end=head["t_end"],
-        termination=head["termination"],
-        metadata=head.get("metadata", {}),
-    )
+    # A ValueError here (arity, a token, a blank, the times) is damage.
+    try:
+        columns, absent = record_columns(
+            (line.split() for line in body), "-")
+        return Trace.from_columns(columns, t_start, t_end,
+                                  head["termination"],
+                                  head.get("metadata", {}), absent)
+    except ValueError as exc:
+        raise CorruptFile(f"trace body: {exc}") from None
 
 
 class CheckpointData:
@@ -243,13 +233,13 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
             f"{len(body)} values do not fill a {backend} grid of "
             f"resolution {res}"
         )
-    vals = np.array([_parse(tok) for tok in body], dtype=float)
+    try:
+        vals = np.array(body, dtype=object).astype(float)
+    except ValueError as exc:
+        raise CorruptFile(f"checkpoint values: {exc}") from None
     if np.any(np.isnan(vals)):
         raise CorruptFile("checkpoint contains missing values")
-    t = head.get("t")
-    if isinstance(t, bool) or not isinstance(t, (int, float)) \
-            or not math.isfinite(t):
-        raise CorruptFile(f"checkpoint time {t!r} is not a finite number")
+    t = _finite_number(head.get("t"), "checkpoint time")
     engine = head.get("engine")
     if not isinstance(engine, dict) or any(k not in engine
                                            for k in ENGINE_KEYS):
@@ -275,18 +265,4 @@ def write_report(report_dict, path):
 
 
 def read_report(path):
-    try:
-        head = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CorruptFile(f"unreadable report: {exc}") from exc
-    if not isinstance(head, dict) or "format_version" not in head:
-        raise CorruptFile("report header is not a format header")
-    if head["format_version"] != FORMAT_VERSION:
-        raise VersionMismatch(
-            f"format version {head['format_version']} not supported"
-        )
-    if head.get("kind") != "report":
-        raise SchemaMismatch(
-            f"expected a report file, found {head.get('kind')!r}"
-        )
-    return head["report"]
+    return _header(_read_text(path), "report")["report"]

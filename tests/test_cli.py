@@ -217,6 +217,28 @@ class TestDamagedInputs:
         assert code == 1
         assert payload["error_class"] == "CorruptFile"
 
+    @pytest.mark.parametrize("damage", ["t_start", "t_end", "repeat", "nan"])
+    def test_damaged_trace_for_analyze(self, tmp_path, capsys, damage):
+        path = tmp_path / "d.trace"
+        traceio.write_trace(
+            scale.synthetic_trace("constant", value=1.0, n=11), path)
+        lines = path.read_text().splitlines()
+        head = json.loads(lines[0])
+        if damage == "t_start":
+            head["t_start"] = "soon"
+        elif damage == "t_end":
+            head["t_end"] = None
+        else:
+            row = lines[3].split()
+            row[0] = lines[2].split()[0] if damage == "repeat" else "nan"
+            lines[3] = " ".join(row)
+        lines[0] = json.dumps(head, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        code, payload = one_line_error(
+            ["analyze", str(path), "--outdir", str(tmp_path)], capsys)
+        assert code == 1
+        assert payload["error_class"] == "CorruptFile"
+
 
 class TestAtomicOutputs:
     def test_failed_series_write_keeps_the_earlier_file(self, tmp_path):

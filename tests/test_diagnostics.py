@@ -84,7 +84,7 @@ class TestEvolutionResidual:
             return toric.scalar_curvature(w, toric.positivity(w))
 
         s = s_of(v)
-        direction = flow.TORIC_FLOW_SIGN * (s - 2.0)
+        direction = toric.FLOW_SIGN * (s - 2.0)
         eps = 1e-6
         ds = (s_of(v + eps * direction)
               - s_of(v - eps * direction)) / (2 * eps)

@@ -44,10 +44,10 @@ class TestRhs:
             ca0 = geometry.calabi_energy(state)
             dt = 1e-7
             good = geometry.calabi_energy(geometry.toric_state(
-                toric.strip_affine(v + dt * flow.TORIC_FLOW_SIGN * (s - 2.0))
+                toric.strip_affine(v + dt * toric.FLOW_SIGN * (s - 2.0))
             ))
             bad = geometry.calabi_energy(geometry.toric_state(
-                toric.strip_affine(v - dt * flow.TORIC_FLOW_SIGN * (s - 2.0))
+                toric.strip_affine(v - dt * toric.FLOW_SIGN * (s - 2.0))
             ))
             assert good < ca0 < bad
 

@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calabilab import flow, geometry, presets, scale, traceio
+from calabilab.diagnostics import (OPTIONAL_FIELDS, SAMPLE_SCHEMA,
+                                   DiagnosticsSample)
 from calabilab.errors import CorruptFile, SchemaMismatch, VersionMismatch
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -62,6 +67,60 @@ class TestTraceRoundTrip:
         assert traceio.read_trace(path).samples == tr.samples
 
 
+# Doubles whose repr reads back to the same bits: every finite value,
+# both zeros and infinities, and the one nan that "nan" parses to.
+values = st.one_of(st.floats(allow_nan=False), st.just(math.nan),
+                   st.sampled_from([-0.0, math.inf, -math.inf]))
+
+
+@st.composite
+def sample_records(draw):
+    times = sorted(draw(st.lists(st.floats(allow_nan=False,
+                                           allow_infinity=False),
+                                 max_size=12, unique=True)))
+    n_required = len(SAMPLE_SCHEMA) - len(OPTIONAL_FIELDS)
+    return [
+        DiagnosticsSample(
+            t, *draw(st.lists(values, min_size=n_required - 1,
+                              max_size=n_required - 1)),
+            *draw(st.lists(st.one_of(st.none(), values),
+                           min_size=len(OPTIONAL_FIELDS),
+                           max_size=len(OPTIONAL_FIELDS))))
+        for t in times
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sample_records())
+def test_round_trip_keeps_every_bit(tmp_path_factory, records):
+    t_start = records[0].t if records else 0.0
+    t_end = records[-1].t if records else 0.0
+    tr = scale.Trace(records, t_start, t_end, "completed", {"n": 1})
+    # The same record built from columns: blanks hold arbitrary values,
+    # and each nan has its sign bit set.
+    rows = [dataclasses.astuple(r) for r in records]
+    columns = {name: [0.0 if row[i] is None else -row[i]
+                      if math.isnan(row[i]) else row[i] for row in rows]
+               for i, name in enumerate(SAMPLE_SCHEMA)}
+    absent = {name: [row[SAMPLE_SCHEMA.index(name)] is None for row in rows]
+              for name in OPTIONAL_FIELDS}
+    twin = scale.Trace.from_columns(columns, t_start, t_end, "completed",
+                                    {"n": 1}, absent)
+    assert twin == tr
+    path = tmp_path_factory.mktemp("rt") / "r.trace"
+    traceio.write_trace(tr, path)
+    back = traceio.read_trace(path)
+    for name in SAMPLE_SCHEMA:
+        assert np.array_equal(back.columns[name].view(np.int64),
+                              tr.columns[name].view(np.int64))
+    for name in OPTIONAL_FIELDS:
+        assert np.array_equal(back.absent[name], tr.absent[name])
+    assert back == tr
+    again = path.with_name("again.trace")
+    traceio.write_trace(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 class TestTraceErrors:
     def write(self, tmp_path, mutate):
         tr = small_trace(10)
@@ -109,6 +168,16 @@ class TestTraceErrors:
         with pytest.raises(SchemaMismatch):
             traceio.read_trace(self.write(tmp_path, mutate))
 
+    @pytest.mark.parametrize("schema", [None, 5])
+    def test_schema_that_is_not_a_list(self, tmp_path, schema):
+        def mutate(ls):
+            head = json.loads(ls[0])
+            head["schema"] = schema
+            ls[0] = json.dumps(head)
+
+        with pytest.raises(SchemaMismatch):
+            traceio.read_trace(self.write(tmp_path, mutate))
+
     def test_kind_mismatch(self, tmp_path):
         state = geometry.flat_state(8)
         path = tmp_path / "c.ckpt"
@@ -121,6 +190,42 @@ class TestTraceErrors:
         path.write_text("not json at all\n")
         with pytest.raises(CorruptFile):
             traceio.read_trace(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("t_start", "soon"), ("t_end", None), ("t_start", True),
+        ("t_end", float("nan")), ("t_start", float("-inf")), ("t_end", [5]),
+    ])
+    def test_header_times_must_be_finite_numbers(self, tmp_path, key, value):
+        def set_time(new):
+            def mutate(ls):
+                head = json.loads(ls[0])
+                head[key] = new
+                ls[0] = json.dumps(head)
+
+            return self.write(tmp_path, mutate)
+
+        with pytest.raises(CorruptFile):
+            traceio.read_trace(set_time(value))
+        # An int time still reads (small_trace spans [0, 5]).
+        whole = 0 if key == "t_start" else 5
+        assert getattr(traceio.read_trace(set_time(whole)), key) == whole
+
+    @pytest.mark.parametrize("time", ["repeat", "nan", "inf", "past_end"])
+    def test_sample_times_must_be_finite_increasing_and_inside(
+            self, tmp_path, time):
+        def mutate(ls):
+            row = ls[3].split()
+            row[0] = {"repeat": ls[2].split()[0], "nan": "nan", "inf": "inf",
+                      "past_end": "1e6"}[time]
+            ls[3] = " ".join(row)
+            if time == "past_end":
+                del ls[4:]
+                head = json.loads(ls[0])
+                head["n_samples"] = 3
+                ls[0] = json.dumps(head)
+
+        with pytest.raises(CorruptFile):
+            traceio.read_trace(self.write(tmp_path, mutate))
 
 
 class TestCheckpoint:
