@@ -23,8 +23,6 @@ from .flow import FlowConfig, RunResult, StepResult, run, step
 from .geometry import (
     MetricState,
     ScalarField,
-    ToricPotential,
-    TorusPotential,
     flat_state,
     round_state,
     toric_state,
@@ -38,8 +36,7 @@ __all__ = [
     "BadParams", "CalabiLabError", "CorruptFile", "DiagnosticsSample",
     "DomainError", "FlowConfig", "MetricState", "NonKahler", "RunResult",
     "ScalarField", "SchemaMismatch", "SolverFailure", "StepResult",
-    "StepTooSmall", "ToricPotential", "TorusPotential", "Trace",
-    "VectorFieldSpec", "VersionMismatch", "curvature_scale", "flat_state",
-    "rescale_trace", "round_state", "run", "step", "synthetic_trace",
-    "toric_state", "torus_state",
+    "StepTooSmall", "Trace", "VectorFieldSpec", "VersionMismatch",
+    "curvature_scale", "flat_state", "rescale_trace", "round_state", "run",
+    "step", "synthetic_trace", "toric_state", "torus_state",
 ]

@@ -68,7 +68,7 @@ def basis_fields(backend):
     return tuple(VectorFieldSpec(backend, row) for row in np.eye(dim))
 
 
-def futaki(state, v_spec, tol=FUTAKI_TOL):
+def futaki(state, v_spec):
     """Futaki pairing of the class with a holomorphic field.
 
     Solves lap_g f = S - S_bar (solvable: the data has zero mean by the
@@ -80,11 +80,12 @@ def futaki(state, v_spec, tol=FUTAKI_TOL):
     base = geometry.base_field(state)
     s = geometry.scalar_curvature(state).values
     sbar = geometry.average_scalar(state)
-    f, resid = ops.poisson_solve(base, s - sbar, tol)
+    f, resid = ops.poisson_solve(base, s - sbar)
     scale = max(1.0, float(np.max(np.abs(s - sbar))))
-    if resid > tol * scale:
+    if resid > FUTAKI_TOL * scale:
         raise SolverFailure(
-            f"scalar potential solve residual {resid:.3e} exceeds {tol:.1e}"
+            f"scalar potential solve residual {resid:.3e} exceeds "
+            f"{FUTAKI_TOL:.1e}"
         )
     vol = geometry.volume(state)
     f = f + np.log(vol / geometry.grid_integral(state, np.exp(f)))
@@ -104,7 +105,7 @@ def evolution_residual(s_prev, s_next, dt):
         raise ValueError("need two same-backend states and dt > 0")
     s0 = geometry.scalar_curvature(s_prev).values
     s1 = geometry.scalar_curvature(s_next).values
-    mid = s_prev.with_values(0.5 * (s_prev.values() + s_next.values()))
+    mid = s_prev.with_values(0.5 * (s_prev.values + s_next.values))
     spatial = geometry.backend_module(mid.backend).scalar_evolution(
         geometry.base_field(mid), geometry.scalar_curvature(mid).values)
     return float(np.max(np.abs((s1 - s0) / dt + spatial)))
@@ -123,7 +124,7 @@ def automorphism_gap(state, reference):
     if state.resolution != reference.resolution:
         raise ValueError("states have different resolutions")
     return geometry.backend_module(state.backend).sobolev_gap(
-        state.values(), reference.values())
+        state.values, reference.values)
 
 
 def sample(state, prev=None, dt=None, reference=None):
@@ -175,7 +176,7 @@ class SmoothingProbe:
     interp_ratio_sup: float
 
 
-def smoothing_probe(trace, bound, orders=(1, 2)):
+def smoothing_probe(trace, bound):
     """Empirical constants in the derivative-smoothing envelope.
 
     For each derivative order l the probe returns the largest sampled value
@@ -200,7 +201,7 @@ def smoothing_probe(trace, bound, orders=(1, 2)):
     later = tau > 0.0
     envelope = bound + tau[later] ** -0.5
     constants = {}
-    for order in orders:
+    for order in (1, 2):
         num = 0.5 * col["sup_grad_scalar" if order == 1
                         else "sup_hess_scalar"][later]
         constants[order] = float(np.max(

@@ -107,7 +107,7 @@ def modified_rhs(state, v_spec):
     """
     base = rhs(state).values
     vals = geometry.backend_module(state.backend).transport(
-        state.values(), v_spec.coefficients, base)
+        state.values, v_spec.coefficients, base)
     return geometry.ScalarField(vals, state.backend)
 
 
@@ -123,7 +123,7 @@ def _torus_step(state, dt):
     The flat bi-Laplacian is implicit, the remainder explicit and 2/3-rule
     dealiased; the remainder reads the state's cached S.
     """
-    phi = state.values()
+    phi = state.values
     explicit = geometry.scalar_curvature(state).values + torus.bilap0(phi)
     _, _, k2, mask = torus._ops(phi.shape[0])
     fh = np.fft.rfft2(phi)
@@ -156,7 +156,7 @@ def _toric_implicit_step(state, dt):
     sides of the update.  At the round state the forcing vanishes and the
     update returns v bit for bit.
     """
-    v = state.values()
+    v = state.values
     o = toric.ops(v.shape[0])
     rho = 1.0 / geometry.base_field(state)
     d2v = o.d2 @ v

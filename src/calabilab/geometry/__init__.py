@@ -13,14 +13,15 @@ backend name to its module, and the curvature norms, the smoothing probes
 and the Calabi energy are written once here, over the backend's
 ``laplacian``, ``grad_norm`` and ``integral``.
 
-A state derives three things on first use and keeps them: its base field
-(torus h = 1 + lap0(phi), toric 1 + (1-x^2) v''), its scalar curvature S
-and its Calabi energy.  Every caller reads these, so each is computed once
-per state.  The cached arrays are read-only and take no part in equality
-or ``repr``.  States are otherwise immutable value objects, and every
-operation is a pure function of its inputs and safe to call concurrently:
-a cache fill is idempotent, so two threads that fill the same entry store
-the same bits.
+A state is a backend name, the backend's value grid (torus phi, toric v)
+and the flow time.  It derives three things on first use and keeps them:
+its base field (torus h = 1 + lap0(phi), toric 1 + (1-x^2) v''), its
+scalar curvature S and its Calabi energy.  Every caller reads these, so
+each is computed once per state.  The cached arrays are read-only and take
+no part in equality or ``repr``.  States are otherwise immutable value
+objects, and every operation is a pure function of its inputs and safe to
+call concurrently: a cache fill is idempotent, so two threads that fill
+the same entry store the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -54,16 +55,24 @@ def _freeze(a):
 
 
 @dataclass(frozen=True)
-class _Potential:
-    """Read-only value grid, validated by its backend module."""
+class MetricState:
+    """A point of the flow: a backend name, its value grid and the time.
 
+    The grid is kept as a read-only float array and validated by the
+    backend's module: its shape, the resolution, finiteness and the gauge.
+    An unknown backend name is a ValueError.
+    """
+
+    backend: str
     values: np.ndarray
-    backend = None
+    t: float = 0.0
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
+        ops = backend_module(self.backend)
         vals = _freeze(self.values)
         object.__setattr__(self, "values", vals)
-        ops = _MODULES[self.backend]
         n = vals.shape[0] if vals.ndim else 0
         if vals.shape != ops.grid_shape(n):
             raise ValueError(f"{self.backend} potential has shape "
@@ -77,49 +86,10 @@ class _Potential:
     def resolution(self):
         return self.values.shape[0]
 
-
-class TorusPotential(_Potential):
-    """Zero-mean Kahler potential on an N x N grid, N a power of two."""
-
-    backend = TORUS
-    phi = property(lambda self: self.values)
-
-
-class ToricPotential(_Potential):
-    """Smooth correction to the canonical potential on M Lobatto nodes."""
-
-    backend = TORIC
-    v = property(lambda self: self.values)
-
-
-_POTENTIALS = {p.backend: p for p in (TorusPotential, ToricPotential)}
-
-
-@dataclass(frozen=True)
-class MetricState:
-    """A point of the flow: one backend potential plus the flow time."""
-
-    potential: "TorusPotential | ToricPotential"
-    t: float = 0.0
-    _derived: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
-
-    @property
-    def backend(self):
-        return self.potential.backend
-
-    @property
-    def resolution(self):
-        return self.potential.resolution
-
-    def values(self):
-        """The raw potential grid (read-only view)."""
-        return self.potential.values
-
     def with_values(self, values, t=None):
         """New state of the same backend from raw potential values."""
         t_new = self.t if t is None else float(t)
-        return MetricState(type(self.potential)(values), t_new)
+        return MetricState(self.backend, values, t_new)
 
 
 @dataclass(frozen=True)
@@ -138,23 +108,18 @@ class ScalarField:
             raise ValueError("scalar field contains non-finite values")
 
 
-def state_of(backend, values, t=0.0):
-    """The state of ``backend`` with the given raw values."""
-    return MetricState(_POTENTIALS[backend](values), t)
-
-
 def zero_state(backend, n, t=0.0):
     """The state whose raw values vanish: flat torus, round interval."""
     shape = backend_module(backend).grid_shape(n)
-    return state_of(backend, np.zeros(shape), t)
+    return MetricState(backend, np.zeros(shape), t)
 
 
 def torus_state(phi, t=0.0):
-    return state_of(TORUS, phi, t)
+    return MetricState(TORUS, phi, t)
 
 
 def toric_state(v, t=0.0):
-    return state_of(TORIC, v, t)
+    return MetricState(TORIC, v, t)
 
 
 def flat_state(n, t=0.0):
@@ -182,7 +147,7 @@ def _derive(state, key, compute):
 
 def _checked_base(state):
     ops = _ops(state)
-    base = ops.base_field(state.values())
+    base = ops.base_field(state.values)
     # Written so that non-finite values also fail.
     if not (base.min() > POSITIVITY_FLOOR):
         raise NonKahler(f"{ops.BASE_NAME} min {base.min():.3e} <= floor "
@@ -201,16 +166,7 @@ def base_field(state):
 
 def _scalar(state):
     return _derive(state, "scalar", lambda st: _ops(st).scalar_curvature(
-        st.values(), base_field(st)))
-
-
-def conformal_factor(state):
-    """h = 1 + lap0(phi) of a torus state; NonKahler below the floor."""
-    if isinstance(state, TorusPotential):
-        state = MetricState(state)
-    if not isinstance(state, MetricState) or state.backend != TORUS:
-        raise TypeError("conformal_factor is defined on the torus backend")
-    return ScalarField(base_field(state), TORUS)
+        st.values, base_field(st)))
 
 
 def scalar_curvature(state):

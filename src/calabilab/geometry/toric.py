@@ -28,10 +28,11 @@ import numpy as np
 
 from ..errors import BadParams
 
-# Orientation of the interval-backend flow relative to the torus potential
-# flow under the dual transform.  Frozen from the energy-decrease
-# experiment kept in the tests: with -1 the energy falls from generic
-# perturbations, with +1 it rises.
+# The flow moves the Kahler potential phi by +(S - S_bar), as on the torus.
+# The symplectic potential u(x) is its Legendre dual, u(x) + phi(xi) =
+# x xi at x = phi'(xi); differentiating in t at fixed x, the xi_t terms
+# cancel and u_t = -phi_t.  With u0 fixed, v_t = u_t = -(S - S_bar).  The
+# energy-decrease experiment in the tests checks the sign.
 FLOW_SIGN = -1.0
 FIELD_DIM = 1  # holomorphic fields: multiples of the circle generator
 BASE_NAME = "toric positivity"  # what the positivity check reads
@@ -215,7 +216,7 @@ def antiderivative(vals):
     return np.polynomial.chebyshev.chebval(ops(m).x, anti)
 
 
-def poisson_solve(p, rhs, tol=1e-10):
+def poisson_solve(p, rhs):
     """Solve lap_g f = rhs for the quadrature-mean-zero potential f.
 
     The equation (w f')' = data integrates once to w f' = R with R the

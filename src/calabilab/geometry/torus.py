@@ -190,7 +190,7 @@ def extremality_residual(h, s):
     return float(np.sqrt(integral(h, np.abs(dzbar) ** 2)))
 
 
-def poisson_solve(h, rhs, tol=1e-10):
+def poisson_solve(h, rhs):
     """Solve lap_g f = rhs (zero-mean data) for the zero-mean potential f.
 
     The metric Laplacian factors exactly through the flat operator in this

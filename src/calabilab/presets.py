@@ -57,7 +57,7 @@ def build_initial(backend, resolution, spec):
         vals = ops.random_potential(resolution, seed, amplitude, kmax)
     else:
         vals = ops.rough_potential(resolution, seed, amplitude)
-    return geometry.state_of(backend, vals)
+    return geometry.MetricState(backend, vals)
 
 
 def _reject(spec):

@@ -54,7 +54,17 @@ from .errors import BadParams, DomainError
 
 TERMINATIONS = ("completed", "stop_energy", "left_cone", "error")
 
+# Relative bracket width at which the curvature-scale bisection stops.
 BISECT_RTOL = 1e-10
+
+# Blow-up rates: sup Q^2 (T - t) up to this is type I; the exponents tried
+# for the monotone tail fit.
+TYPE1_THRESHOLD = 10.0
+LAM_GRID = np.linspace(0.0, 4.0, 81)
+LAM_GRID.setflags(write=False)
+
+# ``analyze`` evaluates pointwise quantities at most at this many times.
+MAX_POINTS = 512
 
 
 _RECORD = operator.attrgetter(*SAMPLE_SCHEMA)
@@ -323,7 +333,7 @@ def _curve(trace, name):
     return curve
 
 
-def curvature_scales(trace, times, rtol=BISECT_RTOL):
+def curvature_scales(trace, times):
     """Largest look-back s with sup of (sup |Rm|)^2 over [t0-s, t0] <= 1/s,
     for every t0 in ``times``.
 
@@ -356,7 +366,7 @@ def curvature_scales(trace, times, rtol=BISECT_RTOL):
         idx, lo = idx[below], lo[below]
         hi = s_max[idx]
         for _ in range(200):
-            live = np.flatnonzero(hi - lo > rtol * hi)
+            live = np.flatnonzero(hi - lo > BISECT_RTOL * hi)
             if not live.size:
                 break
             mid = 0.5 * (lo[live] + hi[live])
@@ -368,9 +378,9 @@ def curvature_scales(trace, times, rtol=BISECT_RTOL):
     return out
 
 
-def curvature_scale(trace, t0, rtol=BISECT_RTOL):
+def curvature_scale(trace, t0):
     """The curvature scale at one time (see ``curvature_scales``)."""
-    return float(curvature_scales(trace, [t0], rtol)[0])
+    return float(curvature_scales(trace, [t0])[0])
 
 
 def dini(trace, name, t):
@@ -590,7 +600,7 @@ class BlowupRates:
     t_sing: float
 
 
-def blowup_rates(trace, t_sing, alpha, type1_threshold=10.0, lam_grid=None):
+def blowup_rates(trace, t_sing, alpha):
     """Tail statistics of the singular-time rate quantities.
 
     Suprema are taken over recorded samples before ``t_sing`` only (no
@@ -613,16 +623,14 @@ def blowup_rates(trace, t_sing, alpha, type1_threshold=10.0, lam_grid=None):
     sup_oq = float(np.max(o ** alpha * q ** (2.0 - alpha) * dtau))
     sup_qroot = float(np.max(q * np.sqrt(dtau)))
     sup_q2t = float(np.max(q * q * dtau))
-    if lam_grid is None:
-        lam_grid = np.linspace(0.0, 4.0, 81)
     lam_fit = math.inf
-    for lam in lam_grid:
+    for lam in LAM_GRID:
         vals = q * dtau ** lam
         if np.all(vals[1:] <= vals[:-1] * (1.0 + 1e-12) + 1e-300):
             lam_fit = float(lam)
             break
     return BlowupRates(sup_pt, sup_oq, sup_qroot, sup_q2t,
-                       bool(sup_q2t <= type1_threshold), lam_fit,
+                       bool(sup_q2t <= TYPE1_THRESHOLD), lam_fit,
                        float(alpha), float(t_sing))
 
 
@@ -758,16 +766,16 @@ class ScaleReport:
     meta: dict
 
 
-def analyze_trace(trace, alpha=0.5, eps0=None, t_sing=None, max_points=512):
+def analyze_trace(trace, alpha=0.5, eps0=None, t_sing=None):
     """Full scale analysis of one trace (the ``analyze`` CLI core).
 
     Pointwise quantities (curvature scale, barrier verdicts) are evaluated
-    at sample times, deterministically strided down to ``max_points`` on
+    at sample times, deterministically strided down to ``MAX_POINTS`` on
     very long traces.  The window algebra is O(1) per query, so the stride
     only bounds the size of the report.
     """
     times = trace.columns["t"]
-    stride = max(1, (len(trace) + max_points - 1) // max_points)
+    stride = max(1, (len(trace) + MAX_POINTS - 1) // MAX_POINTS)
     eval_times = times[::stride]
     if (len(trace) - 1) % stride:
         eval_times = np.append(eval_times, times[-1])

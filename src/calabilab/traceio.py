@@ -18,9 +18,10 @@ Error taxonomy: damaged bodies (truncation, arity, unparsable tokens, a
 blank required column, sample times that are not finite, strictly
 increasing and inside [t_start, t_end], a value count that does not fill
 the declared grid, values the backend refuses), files that do not decode
-as text, traces without a finite ``t_start`` and ``t_end``, and
-checkpoints without a finite time or a complete engine state are
-``CorruptFile``; header-level disagreements (kind, backend, schema, a
+as text, traces without a finite ``t_start`` and ``t_end``, checkpoints
+without a finite time or a complete engine state, counts (``n_samples``,
+``n_values``) that are not integers, and a trace ``metadata`` or a
+``report`` that is not a JSON object are ``CorruptFile``; header-level disagreements (kind, backend, schema, a
 resolution the backend does not support) are ``SchemaMismatch``; an
 unsupported ``format_version`` is ``VersionMismatch``.
 
@@ -138,6 +139,20 @@ def _finite_number(value, what):
     return value
 
 
+def _count(value, what):
+    """``value`` if it is an int (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CorruptFile(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _object(value, what):
+    """``value`` if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise CorruptFile(f"{what} {value!r} is not a JSON object")
+    return value
+
+
 def read_trace(path):
     lines = _read_text(path).splitlines()
     if not lines:
@@ -154,18 +169,19 @@ def read_trace(path):
         )
     t_start = _finite_number(head["t_start"], "trace t_start")
     t_end = _finite_number(head["t_end"], "trace t_end")
+    n_samples = _count(head["n_samples"], "trace n_samples")
+    metadata = _object(head.get("metadata", {}), "trace metadata")
     body = lines[1:]
-    if len(body) != head["n_samples"]:
+    if len(body) != n_samples:
         raise CorruptFile(
-            f"expected {head['n_samples']} samples, found {len(body)} lines"
+            f"expected {n_samples} samples, found {len(body)} lines"
         )
     # A ValueError here (arity, a token, a blank, the times) is damage.
     try:
         columns, absent = record_columns(
             (line.split() for line in body), "-")
         return Trace.from_columns(columns, t_start, t_end,
-                                  head["termination"],
-                                  head.get("metadata", {}), absent)
+                                  head["termination"], metadata, absent)
     except ValueError as exc:
         raise CorruptFile(f"trace body: {exc}") from None
 
@@ -180,7 +196,7 @@ class CheckpointData:
 
 
 def write_checkpoint(state, engine_dict, cfg_hash, path):
-    vals = state.values().ravel()
+    vals = state.values.ravel()
     head = {
         "format_version": FORMAT_VERSION,
         "kind": "checkpoint",
@@ -223,11 +239,10 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
     except ValueError as exc:
         raise SchemaMismatch(f"checkpoint header: {exc}") from None
     shape = ops.grid_shape(res)
+    n_values = _count(head.get("n_values"), "checkpoint n_values")
     body = lines[1:]
-    if len(body) != head.get("n_values"):
-        raise CorruptFile(
-            f"expected {head.get('n_values')} values, found {len(body)}"
-        )
+    if len(body) != n_values:
+        raise CorruptFile(f"expected {n_values} values, found {len(body)}")
     if len(body) != math.prod(shape):
         raise CorruptFile(
             f"{len(body)} values do not fill a {backend} grid of "
@@ -247,7 +262,7 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
             f"checkpoint engine state must carry {', '.join(ENGINE_KEYS)}"
         )
     try:
-        state = geometry.state_of(backend, vals.reshape(shape), t)
+        state = geometry.MetricState(backend, vals.reshape(shape), t)
     except ValueError as exc:
         raise CorruptFile(f"checkpoint values: {exc}") from None
     return CheckpointData(state, engine, head.get("config_hash"))
@@ -265,4 +280,5 @@ def write_report(report_dict, path):
 
 
 def read_report(path):
-    return _header(_read_text(path), "report")["report"]
+    head = _header(_read_text(path), "report")
+    return _object(head.get("report"), "report")

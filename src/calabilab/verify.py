@@ -122,7 +122,7 @@ def criterion_fixed_points(cache=None):
     for s0 in (flat, rnd):
         res = flow.step(s0, 0.05)
         stationary &= res.accepted and res.energy_delta == 0.0
-        stationary &= bool(np.array_equal(res.new_state.values(), s0.values()))
+        stationary &= bool(np.array_equal(res.new_state.values, s0.values))
     passed = worst_rhs <= 1e-12 and worst_ca <= 1e-20 and stationary
     return CriterionResult(
         1, "fixed points stationary", passed,
@@ -246,7 +246,7 @@ def criterion_evolution_identity(cache=None):
     phi32 = presets.build_initial(
         TORUS, 32, {"preset": "random", "seed": 21, "amplitude": 0.15,
                     "kmax": 2}
-    ).values()
+    ).values
     s32 = geometry.torus_state(phi32)
     s64 = geometry.torus_state(_spectral_prolong(phi32, 64))
     r_dt = _one_step_residual(s64, 1.25e-5)
@@ -498,8 +498,8 @@ def criterion_determinism(cache=None):
         suffix = tuple(s for s in run_a.trace.samples if s.t > t_c)
         resume_ok = resumed.trace.samples == suffix
         final_ok = bool(
-            np.array_equal(resumed.final_state.values(),
-                           run_a.final_state.values())
+            np.array_equal(resumed.final_state.values,
+                           run_a.final_state.values)
         )
     passed = identical and resume_ok and final_ok
     return CriterionResult(

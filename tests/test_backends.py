@@ -43,10 +43,16 @@ def test_module_provides_the_interface(backend):
     assert ops.ZERO_PRESET in presets.PRESETS
 
 
+@pytest.mark.parametrize("name", ["plane", None, ["torus"]])
+def test_unknown_backend_is_a_value_error(name):
+    with pytest.raises(ValueError, match="unknown backend"):
+        geometry.MetricState(name, np.zeros((8, 8)))
+
+
 def test_zero_state_is_an_exact_fixed_point(backend):
     state = geometry.zero_state(backend, 16)
     assert state.backend == backend
-    assert state.values().shape == geometry.backend_module(
+    assert state.values.shape == geometry.backend_module(
         backend).grid_shape(16)
     s = geometry.scalar_curvature(state).values
     assert s.flat[0] in (0.0, 2.0)
@@ -54,7 +60,7 @@ def test_zero_state_is_an_exact_fixed_point(backend):
     assert geometry.calabi_energy(state) == 0.0
     res = flow.step(state, 1e-3)
     assert res.accepted
-    assert res.new_state.values().tobytes() == state.values().tobytes()
+    assert res.new_state.values.tobytes() == state.values.tobytes()
     for field in diagnostics.basis_fields(backend):
         assert diagnostics.futaki(state, field) == 0.0
 
@@ -89,7 +95,7 @@ def test_entry_points_accept_exactly_the_table(tmp_path):
         path = tmp_path / f"{backend}.ckpt"
         traceio.write_checkpoint(state, ENGINE, "00", path)
         back = traceio.read_checkpoint(path, expect_backend=backend)
-        assert back.state.values().tobytes() == state.values().tobytes()
+        assert back.state.values.tobytes() == state.values.tobytes()
 
     with pytest.raises(ValueError):
         config("plane")
@@ -129,7 +135,7 @@ def perturbed(backend):
 
 def test_derived_fields_are_cached_read_only_and_fresh(backend):
     state = perturbed(backend)
-    twin = geometry.MetricState(state.potential, state.t)
+    twin = geometry.MetricState(state.backend, state.values, state.t)
     shown = repr(state)
     ca = geometry.calabi_energy(state)
     base = geometry.base_field(state)
@@ -142,7 +148,7 @@ def test_derived_fields_are_cached_read_only_and_fresh(backend):
             arr[...] = 0.0
     assert geometry.base_field(state) is base
     assert geometry.scalar_curvature(state).values is s
-    fresh = geometry.state_of(backend, state.values().copy(), state.t)
+    fresh = geometry.MetricState(backend, state.values.copy(), state.t)
     assert geometry.base_field(fresh).tobytes() == base.tobytes()
     assert geometry.scalar_curvature(fresh).values.tobytes() == s.tobytes()
     assert geometry.calabi_energy(fresh) == ca
@@ -153,9 +159,9 @@ def test_step_energies_are_the_states_energies(backend):
     state = perturbed(backend)
     res = flow.step(state, 1e-4)
     assert res.energy_before == geometry.calabi_energy(state)
-    fresh = geometry.state_of(backend, state.values(), state.t)
+    fresh = geometry.MetricState(backend, state.values, state.t)
     assert res.energy_before == geometry.calabi_energy(fresh)
-    after = geometry.state_of(backend, res.new_state.values(),
+    after = geometry.MetricState(backend, res.new_state.values,
                               res.new_state.t)
     assert res.energy_after == geometry.calabi_energy(res.new_state)
     assert res.energy_after == geometry.calabi_energy(after)

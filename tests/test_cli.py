@@ -217,7 +217,8 @@ class TestDamagedInputs:
         assert code == 1
         assert payload["error_class"] == "CorruptFile"
 
-    @pytest.mark.parametrize("damage", ["t_start", "t_end", "repeat", "nan"])
+    @pytest.mark.parametrize("damage", ["t_start", "t_end", "repeat", "nan",
+                                        "metadata", "n_samples"])
     def test_damaged_trace_for_analyze(self, tmp_path, capsys, damage):
         path = tmp_path / "d.trace"
         traceio.write_trace(
@@ -228,6 +229,10 @@ class TestDamagedInputs:
             head["t_start"] = "soon"
         elif damage == "t_end":
             head["t_end"] = None
+        elif damage == "metadata":
+            head["metadata"] = [1]
+        elif damage == "n_samples":
+            head["n_samples"] = str(head["n_samples"])
         else:
             row = lines[3].split()
             row[0] = lines[2].split()[0] if damage == "repeat" else "nan"

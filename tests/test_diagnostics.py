@@ -59,7 +59,7 @@ class TestEvolutionResidual:
         # Finite difference of S along the flow direction versus the
         # frozen spatial reduction; the defect is far below either term.
         state = torus_state(amp=0.3, kmax=3)
-        phi = state.potential.phi
+        phi = state.values
         h = torus.conformal_density(phi)
         direction = torus.scalar_curvature(phi, h)
         eps = 1e-7
@@ -78,7 +78,7 @@ class TestEvolutionResidual:
         state = presets.build_initial(
             "toric1d", 96, {"preset": "random", "seed": 1, "amplitude": 0.1}
         )
-        v = state.potential.v
+        v = state.values
 
         def s_of(w):
             return toric.scalar_curvature(w, toric.positivity(w))
@@ -151,7 +151,7 @@ class TestAutomorphismGap:
 
     def test_grid_translation_is_gauge(self):
         state = torus_state(n=32)
-        rolled = geometry.torus_state(np.roll(state.potential.phi, (5, 11),
+        rolled = geometry.torus_state(np.roll(state.values, (5, 11),
                                               axis=(0, 1)))
         gap = diagnostics.automorphism_gap(rolled, state)
         assert gap < 1e-10
@@ -160,7 +160,7 @@ class TestAutomorphismGap:
         state = presets.build_initial(
             "toric1d", 33, {"preset": "random", "seed": 6, "amplitude": 0.3}
         )
-        mirrored = geometry.toric_state(state.potential.v[::-1])
+        mirrored = geometry.toric_state(state.values[::-1])
         assert diagnostics.automorphism_gap(mirrored, state) < 1e-12
 
     def test_infimum_property(self):
@@ -169,7 +169,7 @@ class TestAutomorphismGap:
         gap = diagnostics.automorphism_gap(a, b)
         raw = np.sqrt(torus._weighted_power(
             (1.0 + torus._ops(32)[2]) ** 2,
-            np.fft.rfft2(a.potential.phi) - np.fft.rfft2(b.potential.phi),
+            np.fft.rfft2(a.values) - np.fft.rfft2(b.values),
             32,
         ))
         assert gap <= raw + 1e-12
@@ -178,14 +178,14 @@ class TestAutomorphismGap:
         a = torus_state(seed=1)
         b = torus_state(seed=2)
         gap = diagnostics.automorphism_gap(a, b)
-        moved = geometry.torus_state(np.roll(a.potential.phi, (3, 9),
+        moved = geometry.torus_state(np.roll(a.values, (3, 9),
                                              axis=(0, 1)))
         assert abs(diagnostics.automorphism_gap(moved, b) - gap) \
             < 1e-10 * max(gap, 1.0)
 
     def test_zero_gap_implies_equal_energy(self):
         state = torus_state(n=32)
-        rolled = geometry.torus_state(np.roll(state.potential.phi, 7, axis=0))
+        rolled = geometry.torus_state(np.roll(state.values, 7, axis=0))
         assert diagnostics.automorphism_gap(rolled, state) < 1e-10
         assert abs(geometry.calabi_energy(rolled)
                    - geometry.calabi_energy(state)) < 1e-10
@@ -223,7 +223,7 @@ class TestSmoothingProbe:
 
         rough32 = presets.build_initial(
             "torus", 32, {"preset": "rough", "seed": 9, "amplitude": 0.3}
-        ).values()
+        ).values
         states = {32: geometry.torus_state(rough32),
                   64: geometry.torus_state(_spectral_prolong(rough32, 64))}
         traces = {}

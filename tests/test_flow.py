@@ -39,7 +39,7 @@ class TestRhs:
         # the energy on generic perturbations; the opposite raises it.
         for seed in (1, 5, 11):
             state = toric_state(seed=seed)
-            v = state.potential.v
+            v = state.values
             s = geometry.scalar_curvature(state).values
             ca0 = geometry.calabi_energy(state)
             dt = 1e-7
@@ -57,7 +57,7 @@ class TestStep:
         for state in (geometry.flat_state(32), geometry.round_state(64)):
             res = flow.step(state, 0.1)
             assert res.accepted and res.energy_delta == 0.0
-            assert np.array_equal(res.new_state.values(), state.values())
+            assert np.array_equal(res.new_state.values, state.values)
 
     def test_small_step_decreases_energy(self):
         for state in (torus_state(), toric_state()):
@@ -93,7 +93,7 @@ class TestStep:
             one = flow.step(state, dt).new_state
             half = flow.step(state, dt / 2).new_state
             two = flow.step(half, dt / 2).new_state
-            gaps.append(np.max(np.abs(one.values() - two.values())))
+            gaps.append(np.max(np.abs(one.values - two.values)))
         ratio = gaps[0] / gaps[1]
         assert 3.0 < ratio < 5.0
 
@@ -223,8 +223,8 @@ class TestModifiedFlow:
         spec = diagnostics.VectorFieldSpec("torus", (1.0, 0.0))
         defects = []
         for dt in (2e-4, 1e-4):
-            moved = state.values() + dt * flow.modified_rhs(state, spec).values
-            plain = state.values() + dt * flow.rhs(state).values
+            moved = state.values + dt * flow.modified_rhs(state, spec).values
+            plain = state.values + dt * flow.rhs(state).values
             translated = _translate(plain, dt, 0.0)
             defects.append(np.max(np.abs(moved - translated)))
         ratio = defects[0] / defects[1]

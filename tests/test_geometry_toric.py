@@ -85,7 +85,7 @@ class TestScalarCurvature:
         # differentiate with second-order stencils.
         m = 96
         state = perturbed(m, seed=3, amp=0.25)
-        v = state.potential.v
+        v = state.values
         o = toric.ops(m)
         fine = np.linspace(-0.95, 0.95, 4001)
         vf = _barycentric(o.x, v, fine)

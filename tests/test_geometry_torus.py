@@ -22,21 +22,21 @@ def single_mode(n, eps, k=1):
 
 class TestConformalFactor:
     def test_flat_is_one(self):
-        h = geometry.conformal_factor(geometry.flat_state(16))
-        assert np.array_equal(h.values, np.ones((16, 16)))
+        h = geometry.base_field(geometry.flat_state(16))
+        assert np.array_equal(h, np.ones((16, 16)))
 
     def test_single_mode_matches_symbolic(self):
         # lap0 cos x = -cos x, so h = 1 - eps cos x.
         state = single_mode(64, 0.1)
         xx, _ = grid(64)
-        h = geometry.conformal_factor(state)
-        assert np.max(np.abs(h.values - (1.0 - 0.1 * np.cos(xx)))) < 1e-12
+        h = geometry.base_field(state)
+        assert np.max(np.abs(h - (1.0 - 0.1 * np.cos(xx)))) < 1e-12
 
     def test_large_mode_leaves_cone(self):
         xx, _ = grid(32)
         phi = 2.0 * np.cos(xx)
         with pytest.raises(NonKahler):
-            geometry.conformal_factor(geometry.torus_state(phi - phi.mean()))
+            geometry.base_field(geometry.torus_state(phi - phi.mean()))
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -142,7 +142,7 @@ class TestCurvatureNorms:
     def test_rescale_covariance(self, a):
         # Feeding A*h into the density-level formulas realizes g -> A g.
         state = _random_state(32, np.random.default_rng(5), amp=0.4)
-        phi = state.potential.phi
+        phi = state.values
         h = torus.conformal_density(phi)
 
         def norms(dens):
@@ -161,7 +161,7 @@ class TestCurvatureNorms:
 def test_states_are_immutable():
     state = geometry.flat_state(16)
     with pytest.raises(ValueError):
-        state.potential.phi[0, 0] = 1.0
+        state.values[0, 0] = 1.0
 
 
 def test_gauge_violation_rejected():

@@ -228,6 +228,48 @@ class TestTraceErrors:
             traceio.read_trace(self.write(tmp_path, mutate))
 
 
+def golden_copy(tmp_path, name, **changes):
+    """A copy of a golden file whose header has ``changes`` applied."""
+    with open(os.path.join(GOLDEN, name)) as fh:
+        lines = fh.read().splitlines()
+    head = json.loads(lines[0])
+    head.update(changes)
+    lines[0] = json.dumps(head, sort_keys=True)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestHeaderTypes:
+    @pytest.mark.parametrize("metadata", [[1], 5, "run", None])
+    def test_trace_metadata_must_be_an_object(self, tmp_path, metadata):
+        path = golden_copy(tmp_path, "trace_v1.trace", metadata=metadata)
+        with pytest.raises(CorruptFile, match="metadata"):
+            traceio.read_trace(path)
+
+    @pytest.mark.parametrize("n", ["3", 3.0, True, None])
+    def test_trace_n_samples_must_be_an_int(self, tmp_path, n):
+        path = golden_copy(tmp_path, "trace_v1.trace", n_samples=n)
+        with pytest.raises(CorruptFile, match=f"n_samples {n!r} "):
+            traceio.read_trace(path)
+
+    @pytest.mark.parametrize("n", ["64", 64.0, True, None])
+    def test_checkpoint_n_values_must_be_an_int(self, tmp_path, n):
+        path = golden_copy(tmp_path, "checkpoint_v1.ckpt", n_values=n)
+        with pytest.raises(CorruptFile, match=f"n_values {n!r} "):
+            traceio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("report", [5, [1], "x", None, "missing"])
+    def test_report_must_be_an_object(self, tmp_path, report):
+        head = {"format_version": 1, "kind": "report"}
+        if report != "missing":
+            head["report"] = report
+        path = tmp_path / "r.report.json"
+        path.write_text(json.dumps(head) + "\n")
+        with pytest.raises(CorruptFile, match="report"):
+            traceio.read_report(path)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         state = presets.build_initial(
@@ -238,7 +280,7 @@ class TestCheckpoint:
         path = tmp_path / "s.ckpt"
         traceio.write_checkpoint(state, engine, "abcd", path)
         back = traceio.read_checkpoint(path)
-        assert np.array_equal(back.state.values(), state.values())
+        assert np.array_equal(back.state.values, state.values)
         assert back.state.t == state.t
         assert back.engine == engine
         assert back.config_hash == "abcd"
@@ -403,7 +445,7 @@ class TestGolden:
         assert back.state.t == 0.75
         assert back.engine["dt"] == 0.001953125
         assert back.engine["checkpoint_index"] == 2
-        assert abs(float(back.state.values().mean())) < 1e-12
+        assert abs(float(back.state.values.mean())) < 1e-12
         # The engine dictionary is one a run can resume from.
         flow.EngineState.from_dict(back.engine)
         out = tmp_path / "copy.ckpt"
