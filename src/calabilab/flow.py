@@ -133,38 +133,46 @@ def _torus_step(state, dt):
     return np.fft.irfft2(out, s=phi.shape)
 
 
+# The factorization of W + dt K0 for the (M, dt) of the last toric step.
+# One slot, replaced by one assignment: a concurrent fill stores a
+# matching key and factorization either way.
+_toric_lu = (None, None)
+
+
 def _toric_implicit_step(state, dt):
-    """Gauge-fixed v of the linearly implicit weak-form step.
+    """Gauge-fixed v of the step with the round-state operator implicit.
 
-    The flow field has the closed divergence form
+    The flow field is ``rhs``, F(v) = -(S - 2) = -(q^2 rho v'')''
+    (q = 1-x^2, rho = 1/(1 + q v'')), read from the state's cached S.  Its
+    Jacobian at the round state is -(q^2 (.)'')''; against the quadrature
+    inner product that is the stiffness K0 = D2' diag(w q^2) D2 of
+    ``toric.ops``, symmetric positive semidefinite and independent of v.
+    As the torus step freezes the flat bi-Laplacian, this step keeps K0
+    implicit and forces with the flow's own velocity,
 
-        F(v) = -(q^2 rho v'')''       (q = 1-x^2, rho = 1/(1 + q v'')),
+        (W + dt K0) delta = dt W F(v),      W = diag(w),
 
-    whose exact Jacobian collapses, by the product rule, to the pure
-    fourth-order operator -(q^2 rho^2 (.)'')'': no lower-order terms
-    survive.  Discretized against the quadrature inner product,
-
-        (M + dt K) delta = -dt D2' diag(mu q^2 rho) D2 v,
-        K = D2' diag(mu q^2 rho^2) D2,   M = diag(mu),
-
-    the Jacobian matrix K is symmetric positive semidefinite by
-    construction, so the step is unconditionally linearly stable and the
-    spurious near-kernel shapes of the raw collocation power D2 X D2
-    (which carry nearly imaginary eigenvalues) sit at exact zero here and
-    receive neither forcing nor growth: the boundary weight mu q^2
-    vanishes at the endpoints, making those shapes invisible to both
-    sides of the update.  At the round state the forcing vanishes and the
-    update returns v bit for bit.
+    so delta = dt F(v) + O(dt^2): the step integrates the flow that
+    ``rhs`` describes, and energy acceptance guards the explicit rest of
+    the Jacobian.  At the round state S is exactly 2, F vanishes and the
+    update returns v bit for bit.  W + dt K0 depends only on (M, dt), so
+    it is factored once when either changes (dt changes only when the
+    driver halves or doubles it) and that one factorization is kept.
     """
+    global _toric_lu
     v = state.values
     o = toric.ops(v.shape[0])
-    rho = 1.0 / geometry.base_field(state)
-    d2v = o.d2 @ v
-    c_base = o.weights * o.q * o.q * rho
-    f_weak = -(o.d2.T @ (c_base * d2v))
-    k_mat = o.d2.T @ ((c_base * rho)[:, None] * o.d2)
-    a = np.diag(o.weights) + dt * k_mat
-    delta = lu_solve(lu_factor(a), dt * f_weak)
+    key = (v.shape[0], dt)
+    held, lu = _toric_lu
+    if held != key:
+        lu = lu_factor(np.diag(o.weights) + dt * o.k0)
+        _toric_lu = (key, lu)
+    # scipy's solve shifts the pivot array to 1-based indices in place
+    # around the LAPACK call; threads sharing one pivot array then solve
+    # with wrong pivots or crash.  Each solve gets its own copy.
+    lu_mat, piv = lu
+    forcing = dt * o.weights * rhs(state).values
+    delta = lu_solve((lu_mat, piv.copy()), forcing)
     return toric.strip_affine(v + delta)
 
 

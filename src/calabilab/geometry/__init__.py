@@ -54,13 +54,16 @@ def _freeze(a):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricState:
     """A point of the flow: a backend name, its value grid and the time.
 
-    The grid is kept as a read-only float array and validated by the
-    backend's module: its shape, the resolution, finiteness and the gauge.
-    An unknown backend name is a ValueError.
+    The grid is kept as the state's own read-only float copy, so the
+    caller's array stays writable and later writes to it (or to the array
+    it views) cannot reach the state or its cached S and energy.  The
+    backend's module validates it: its shape, the resolution, finiteness
+    and the gauge.  Two states are equal when backend, time and grid values
+    are.  An unknown backend name is a ValueError.
     """
 
     backend: str
@@ -71,7 +74,7 @@ class MetricState:
 
     def __post_init__(self):
         ops = backend_module(self.backend)
-        vals = _freeze(self.values)
+        vals = _freeze(np.array(self.values, dtype=float, order="C"))
         object.__setattr__(self, "values", vals)
         n = vals.shape[0] if vals.ndim else 0
         if vals.shape != ops.grid_shape(n):
@@ -81,6 +84,12 @@ class MetricState:
         if not np.all(np.isfinite(vals)):
             raise ValueError("potential contains non-finite values")
         ops.check_gauge(vals)
+
+    def __eq__(self, other):
+        if not isinstance(other, MetricState):
+            return NotImplemented
+        return (self.backend == other.backend and self.t == other.t
+                and np.array_equal(self.values, other.values))
 
     @property
     def resolution(self):

@@ -56,7 +56,7 @@ def check_gauge(v):
 
 
 class ChebOps:
-    """Differentiation and quadrature tables for m Chebyshev-Lobatto nodes."""
+    """Differentiation, quadrature and stiffness tables for m Lobatto nodes."""
 
     def __init__(self, m):
         if m < 4:
@@ -81,7 +81,12 @@ class ChebOps:
         self.d2 = dmat @ dmat
         self.q = 1.0 - x * x
         self.weights = _clenshaw_curtis(m)
-        for a in (self.x, self.d1, self.d2, self.q, self.weights):
+        # Round-state stiffness D2' diag(w q^2) D2: the flow's linearization
+        # -(q^2 (.)'')'' at v = 0 against the quadrature inner product,
+        # symmetric positive semidefinite; the toric step keeps it implicit.
+        self.k0 = self.d2.T @ ((self.weights * self.q * self.q)[:, None]
+                               * self.d2)
+        for a in (self.x, self.d1, self.d2, self.q, self.weights, self.k0):
             a.setflags(write=False)
 
 

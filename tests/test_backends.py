@@ -155,6 +155,25 @@ def test_derived_fields_are_cached_read_only_and_fresh(backend):
     assert ca > 0.0
 
 
+def test_state_keeps_its_own_copy_of_the_grid(backend):
+    # A state built from the caller's array, or from a view of it, holds
+    # its own read-only copy: the caller's array stays writable, and later
+    # writes to it or to its base reach neither the values nor the cache.
+    base = perturbed(backend).values.copy()
+    view = base[:]
+    state = geometry.MetricState(backend, view)
+    kept = state.values.copy()
+    ca = geometry.calabi_energy(state)
+    assert base.flags.writeable and view.flags.writeable
+    view.flat[3] = 0.5
+    base.flat[5] = -0.5
+    assert np.array_equal(state.values, kept)
+    assert geometry.calabi_energy(state) == ca
+    fresh = geometry.MetricState(backend, kept)
+    assert state == fresh
+    assert geometry.calabi_energy(fresh) == ca
+
+
 def test_step_energies_are_the_states_energies(backend):
     state = perturbed(backend)
     res = flow.step(state, 1e-4)

@@ -1,5 +1,8 @@
 """Flow engine: stepping, acceptance, adaptivity, determinism."""
 
+import gc
+import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -58,6 +61,15 @@ class TestStep:
             res = flow.step(state, 0.1)
             assert res.accepted and res.energy_delta == 0.0
             assert np.array_equal(res.new_state.values, state.values)
+
+    def test_round_state_is_exact_at_every_step_size(self):
+        # Each dt solves with its own factorization; the zero forcing must
+        # return the very bits, signed zeros included, through both.
+        state = geometry.round_state(64)
+        for dt in (0.1, 0.025):
+            res = flow.step(state, dt)
+            assert res.accepted and res.energy_delta == 0.0
+            assert res.new_state.values.tobytes() == state.values.tobytes()
 
     def test_small_step_decreases_energy(self):
         for state in (torus_state(), toric_state()):
@@ -147,6 +159,39 @@ class TestRun:
         assert result.trace.termination in ("left_cone", "error")
         assert result.trace.samples  # partial trace retained
 
+    def test_toric_run_factors_once_per_step_size(self, monkeypatch):
+        # The implicit operator depends only on (M, dt): a run factors it
+        # once for each stretch of consecutive steps at one dt, and holds
+        # at most one factorization at a time.
+        monkeypatch.setattr(flow, "_toric_lu", (None, None))
+        factored = []
+        dts = []
+        lu_factor = flow.lu_factor
+        step = flow.step
+
+        def counted_factor(a):
+            assert sum(ref() is not None for ref in factored) <= 1
+            lu = lu_factor(a)
+            factored.append(weakref.ref(lu[0]))
+            return lu
+
+        def recorded_step(state, dt, **kwargs):
+            dts.append(dt)
+            return step(state, dt, **kwargs)
+
+        monkeypatch.setattr(flow, "lu_factor", counted_factor)
+        monkeypatch.setattr(flow, "step", recorded_step)
+        cfg = flow.FlowConfig(
+            backend="toric1d", resolution=64, dt_init=1e-3, dt_min=1e-9,
+            dt_max=0.05, t_end=0.5, sample_interval=0.25,
+        )
+        flow.run(cfg, toric_state())
+        stretches = 1 + sum(a != b for a, b in zip(dts, dts[1:]))
+        assert len(factored) == stretches
+        assert len(dts) > 2 * stretches
+        gc.collect()
+        assert sum(ref() is not None for ref in factored) <= 1
+
     def test_backend_mismatch_rejected(self):
         cfg = flow.FlowConfig(
             backend="toric1d", resolution=64, dt_init=1e-3, dt_min=1e-9,
@@ -177,6 +222,30 @@ class TestRun:
             par = list(pool.map(lambda s: flow.run(cfg, s).trace.samples,
                                 states))
         assert seq == par
+
+    def test_concurrent_toric_steps_share_the_factorization(self):
+        # Threads stepping at different sizes replace the one held
+        # factorization under each other and solve with it at the same
+        # time; every update must still return the sequential bits.
+        state = toric_state(m=128)
+        dts = (1e-3, 2e-3, 4e-3)
+        want = {dt: flow._toric_implicit_step(state, dt).tobytes()
+                for dt in dts}
+
+        def steps(k):
+            order = dts[k % 3:] + dts[:k % 3]
+            return [(dt, flow._toric_implicit_step(state, dt).tobytes())
+                    for dt in order for _ in range(200)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(steps, k) for k in range(8)]
+                got = [r for f in futures for r in f.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(bits == want[dt] for dt, bits in got)
 
 
 class TestConfigValidation:
