@@ -16,7 +16,6 @@ from .errors import (
     NonKahler,
     SchemaMismatch,
     SolverFailure,
-    StepTooSmall,
     VersionMismatch,
 )
 from .flow import FlowConfig, RunResult, StepResult, run, step
@@ -35,8 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BadParams", "CalabiLabError", "CorruptFile", "DiagnosticsSample",
     "DomainError", "FlowConfig", "MetricState", "NonKahler", "RunResult",
-    "ScalarField", "SchemaMismatch", "SolverFailure", "StepResult",
-    "StepTooSmall", "Trace", "VectorFieldSpec", "VersionMismatch",
-    "curvature_scale", "flat_state", "rescale_trace", "round_state", "run",
-    "step", "synthetic_trace", "toric_state", "torus_state",
+    "ScalarField", "SchemaMismatch", "SolverFailure", "StepResult", "Trace",
+    "VectorFieldSpec", "VersionMismatch", "curvature_scale", "flat_state",
+    "rescale_trace", "round_state", "run", "step", "synthetic_trace",
+    "toric_state", "torus_state",
 ]

@@ -13,10 +13,6 @@ class NonKahler(CalabiLabError):
     """
 
 
-class StepTooSmall(CalabiLabError):
-    """A time step below the configured minimum was requested."""
-
-
 class DomainError(CalabiLabError):
     """A trace query outside the domain where the quantity is defined."""
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import diagnostics, geometry, traceio
-from .errors import NonKahler, SchemaMismatch, StepTooSmall
+from .errors import NonKahler, SchemaMismatch
 from .geometry import TORIC, TORUS, MetricState, toric, torus
 from .scale import Trace
 
@@ -96,21 +96,6 @@ def rhs(state):
     return geometry.ScalarField(sign * (s - sbar), state.backend)
 
 
-def modified_rhs(state, v_spec):
-    """Flow velocity with the transport term of a fixed holomorphic field.
-
-    The extremal field vanishes on both backends, so with zero
-    coefficients this is exactly ``rhs``.  Torus constant fields
-    contribute the advection of the potential; the circle generator on the
-    interval backend acts only in the angular direction and contributes
-    nothing to invariant potentials.
-    """
-    base = rhs(state).values
-    vals = geometry.backend_module(state.backend).transport(
-        state.values, v_spec.coefficients, base)
-    return geometry.ScalarField(vals, state.backend)
-
-
 def extremality_residual(state):
     """L2 size of the holomorphy defect of the gradient field of S."""
     return geometry.backend_module(state.backend).extremality_residual(
@@ -180,17 +165,14 @@ def _toric_implicit_step(state, dt):
 _UPDATES = {TORUS: _torus_step, TORIC: _toric_implicit_step}
 
 
-def step(state, dt, dt_min=0.0, energy_tol=0.0):
+def step(state, dt, energy_tol=0.0):
     """One semi-implicit step with energy-monotone acceptance.
 
-    Raises NonKahler when the updated state leaves the cone (the caller
-    should retry with a smaller step) and StepTooSmall when ``dt`` falls
-    below ``dt_min``.
+    Raises NonKahler when the updated state leaves the cone; the caller
+    should retry with a smaller step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if dt < dt_min:
-        raise StepTooSmall(f"dt {dt:.3e} below minimum {dt_min:.3e}")
     ca_old = geometry.calabi_energy(state)
     new_vals = _UPDATES[state.backend](state, dt)
     new_state = state.with_values(new_vals, t=state.t + dt)
@@ -258,18 +240,14 @@ def run(cfg, state0, checkpoint_dir=None, on_accept=None, engine=None):
         dt_eff = min(engine.dt, remaining)
         try:
             res = step(state, dt_eff, energy_tol=cfg.energy_tol)
+            rejection = None if res.accepted else (
+                "error", "energy increase persisted at the minimum step")
         except NonKahler as exc:
+            rejection = ("left_cone",
+                         f"positivity lost at minimum step: {exc}")
+        if rejection is not None:
             if engine.dt <= cfg.dt_min * (1.0 + 1e-12):
-                termination = "left_cone"
-                reason = f"positivity lost at minimum step: {exc}"
-                break
-            engine.dt = max(0.5 * engine.dt, cfg.dt_min)
-            engine.streak = 0
-            continue
-        if not res.accepted:
-            if engine.dt <= cfg.dt_min * (1.0 + 1e-12):
-                termination = "error"
-                reason = "energy increase persisted at the minimum step"
+                termination, reason = rejection
                 break
             engine.dt = max(0.5 * engine.dt, cfg.dt_min)
             engine.streak = 0

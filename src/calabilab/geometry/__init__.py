@@ -49,8 +49,17 @@ def backend_module(backend):
 
 
 def _freeze(a):
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
-    a.setflags(write=False)
+    """A read-only float array no caller can write through.
+
+    An array that is already read-only and owns its memory (a state's
+    cached S) is kept as it is; anything else is copied, so the caller's
+    own array stays writable.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == float
+            and a.flags.c_contiguous and a.flags.owndata
+            and not a.flags.writeable):
+        a = np.array(a, dtype=float, order="C")
+        a.setflags(write=False)
     return a
 
 
@@ -74,7 +83,8 @@ class MetricState:
 
     def __post_init__(self):
         ops = backend_module(self.backend)
-        vals = _freeze(np.array(self.values, dtype=float, order="C"))
+        vals = np.array(self.values, dtype=float, order="C")
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         n = vals.shape[0] if vals.ndim else 0
         if vals.shape != ops.grid_shape(n):

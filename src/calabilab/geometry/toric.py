@@ -117,13 +117,10 @@ def ops(m):
     return o
 
 
-def positivity(v):
-    """1 + (1-x^2) v'': positive iff u'' > 0 on the open interval."""
+def base_field(v):
+    """Positivity 1 + (1-x^2) v'': positive iff u'' > 0 on the interior."""
     o = ops(v.shape[0])
     return 1.0 + o.q * (o.d2 @ v)
-
-
-base_field = positivity
 
 
 def _inverse_u2(p):
@@ -131,14 +128,8 @@ def _inverse_u2(p):
     return ops(p.shape[0]).q * (1.0 / p)
 
 
-def scalar_from_rho(rho):
-    """S = 2 rho + 4 x rho' - (1-x^2) rho''.  Linear in rho."""
-    o = ops(rho.shape[0])
-    return 2.0 * rho + 4.0 * o.x * (o.d1 @ rho) - o.q * (o.d2 @ rho)
-
-
 def scalar_curvature(v, p):
-    """Scalar curvature via the deviation psi = rho - 1; p = positivity(v).
+    """Scalar curvature via the deviation psi = rho - 1; p = base_field(v).
 
     Writing rho = 1 + psi with psi computed pointwise keeps the round state
     exact: v = 0 gives psi = 0 bitwise and S = 2 bitwise.
@@ -284,11 +275,6 @@ def sobolev_gap(v_a, v_b):
 def futaki_pairing(p, f, coefficients):
     """Zero: the circle generator annihilates invariant potentials."""
     return 0.0 * coefficients[0]
-
-
-def transport(v, coefficients, velocity):
-    """The circle generator does not move invariant potentials."""
-    return velocity
 
 
 def _seeded_potential(m, seed, amplitude, top, decay):

@@ -108,12 +108,9 @@ def bilap0(f):
     return np.fft.irfft2(k2 * k2 * np.fft.rfft2(f), s=f.shape)
 
 
-def conformal_density(phi):
-    """h = 1 + lap0(phi); the state is Kahler where h is positive."""
+def base_field(phi):
+    """Conformal density h = 1 + lap0(phi); Kahler where h is positive."""
     return 1.0 + lap0(phi)
-
-
-base_field = conformal_density
 
 
 def scalar_curvature(phi, h):
@@ -269,15 +266,6 @@ def futaki_pairing(h, f, coefficients):
     a, b = coefficients
     fx, fy = grad0(f)
     return integral(h, a * fx + b * fy)
-
-
-def transport(phi, coefficients, velocity):
-    """Add the advection of phi along the constant field (a, b)."""
-    a, b = coefficients
-    if a == 0.0 and b == 0.0:
-        return velocity
-    px, py = grad0(phi)
-    return velocity + a * px + b * py
 
 
 def _seeded_potential(n, seed, amplitude, cut, decay):

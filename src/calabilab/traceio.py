@@ -216,6 +216,23 @@ def write_checkpoint(state, engine_dict, cfg_hash, path):
     _write_atomic(path, write)
 
 
+def _check_engine(engine):
+    """CorruptFile unless every engine value can drive a resumed run.
+
+    ``next_checkpoint_t`` may be +Infinity: a run without periodic
+    checkpoints stores that in its final checkpoint.
+    """
+    if _finite_number(engine["dt"], "checkpoint dt") <= 0:
+        raise CorruptFile(f"checkpoint dt {engine['dt']!r} is not positive")
+    for key in ("streak", "checkpoint_index"):
+        if _count(engine[key], f"checkpoint {key}") < 0:
+            raise CorruptFile(f"checkpoint {key} {engine[key]!r} is negative")
+    _finite_number(engine["next_sample_t"], "checkpoint next_sample_t")
+    if engine["next_checkpoint_t"] != math.inf:
+        _finite_number(engine["next_checkpoint_t"],
+                       "checkpoint next_checkpoint_t")
+
+
 def read_checkpoint(path, expect_backend=None, expect_resolution=None):
     lines = _read_text(path).splitlines()
     if not lines:
@@ -261,6 +278,7 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
         raise CorruptFile(
             f"checkpoint engine state must carry {', '.join(ENGINE_KEYS)}"
         )
+    _check_engine(engine)
     try:
         state = geometry.MetricState(backend, vals.reshape(shape), t)
     except ValueError as exc:

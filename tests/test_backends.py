@@ -17,7 +17,7 @@ INTERFACE = (
     "grid_shape", "check_gauge", "base_field", "scalar_curvature",
     "average_scalar", "volume", "laplacian", "grad_norm", "integral",
     "scalar_evolution", "extremality_residual", "poisson_solve",
-    "sobolev_gap", "futaki_pairing", "transport", "random_potential",
+    "sobolev_gap", "futaki_pairing", "random_potential",
     "rough_potential",
 )
 
@@ -172,6 +172,22 @@ def test_state_keeps_its_own_copy_of_the_grid(backend):
     fresh = geometry.MetricState(backend, kept)
     assert state == fresh
     assert geometry.calabi_energy(fresh) == ca
+
+
+def test_scalar_field_leaves_the_callers_array_writable(backend):
+    # A field built from the caller's writable array holds its own
+    # read-only copy; only an array already read-only and owning its
+    # memory, such as the cached S, is kept as it is.
+    a = np.zeros(perturbed(backend).values.shape)
+    field = geometry.ScalarField(a, backend)
+    a.flat[0] = 1.0
+    assert field.values.flat[0] == 0.0
+    assert not field.values.flags.writeable
+    view = a[:]
+    view.setflags(write=False)
+    assert geometry.ScalarField(view, backend).values is not view
+    s = geometry.scalar_curvature(perturbed(backend)).values
+    assert geometry.ScalarField(s, backend).values is s
 
 
 def test_step_energies_are_the_states_energies(backend):

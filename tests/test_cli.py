@@ -204,6 +204,49 @@ class TestDamagedInputs:
         assert code == 1
         assert payload["error_class"] == "CorruptFile"
 
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "x"), ("dt", float("nan")), ("dt", 0), ("dt", -1),
+        ("streak", "x"), ("streak", 1.5), ("next_sample_t", float("nan")),
+        ("checkpoint_index", -3),
+    ])
+    def test_checkpoint_engine_value_that_cannot_resume(
+            self, tmp_path, capsys, key, value):
+        manifest = write_manifest(
+            tmp_path,
+            initial={"preset": "random", "seed": 5, "amplitude": 0.2},
+        )
+        out = tmp_path / "out"
+        run_cli(["run", manifest, "--outdir", str(out)], capsys)
+        ckpt = out / "checkpoint_0001.ckpt"
+        lines = ckpt.read_text().splitlines()
+        head = json.loads(lines[0])
+        head["engine"][key] = value
+        lines[0] = json.dumps(head, sort_keys=True)
+        ckpt.write_text("\n".join(lines) + "\n")
+        code, payload = one_line_error(
+            ["run", manifest, "--outdir", str(tmp_path / "o2"),
+             "--resume", str(ckpt)], capsys)
+        assert code == 1
+        assert payload["error_class"] == "CorruptFile"
+        assert key in payload["message"]
+
+    def test_final_checkpoint_of_a_run_without_checkpoints_resumes(
+            self, tmp_path, capsys):
+        manifest = write_manifest(
+            tmp_path,
+            config={"checkpoint_interval": 0.0, "t_end": 0.2},
+            initial={"preset": "random", "seed": 5, "amplitude": 0.2},
+        )
+        out = tmp_path / "out"
+        run_cli(["run", manifest, "--outdir", str(out)], capsys)
+        final = out / "final.ckpt"
+        assert "Infinity" in final.read_text().splitlines()[0]
+        code, payload = run_cli(
+            ["run", manifest, "--outdir", str(tmp_path / "o2"),
+             "--resume", str(final)], capsys)
+        assert code == 0, payload
+        assert payload["termination"] == "completed"
+
     @pytest.mark.parametrize("command", ["analyze", "resume"])
     def test_input_that_is_not_text(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.bin"

@@ -60,13 +60,13 @@ class TestEvolutionResidual:
         # frozen spatial reduction; the defect is far below either term.
         state = torus_state(amp=0.3, kmax=3)
         phi = state.values
-        h = torus.conformal_density(phi)
+        h = torus.base_field(phi)
         direction = torus.scalar_curvature(phi, h)
         eps = 1e-7
 
         def s_of(p):
             p = p - p.mean()
-            return torus.scalar_curvature(p, torus.conformal_density(p))
+            return torus.scalar_curvature(p, torus.base_field(p))
 
         ds = (s_of(phi + eps * direction) - s_of(phi - eps * direction)) \
             / (2 * eps)
@@ -81,14 +81,14 @@ class TestEvolutionResidual:
         v = state.values
 
         def s_of(w):
-            return toric.scalar_curvature(w, toric.positivity(w))
+            return toric.scalar_curvature(w, toric.base_field(w))
 
         s = s_of(v)
         direction = toric.FLOW_SIGN * (s - 2.0)
         eps = 1e-6
         ds = (s_of(v + eps * direction)
               - s_of(v - eps * direction)) / (2 * eps)
-        spatial = toric.scalar_evolution(toric.positivity(v), s)
+        spatial = toric.scalar_evolution(toric.base_field(v), s)
         scale = np.max(np.abs(spatial))
         assert np.max(np.abs(ds + spatial)) < 1e-5 * scale
 

@@ -8,9 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from calabilab import diagnostics, flow, geometry, presets
-from calabilab.errors import NonKahler, StepTooSmall
-from calabilab.geometry import toric, torus
+from calabilab import flow, geometry, presets
+from calabilab.geometry import toric
 
 
 def torus_state(seed=2, n=32, amp=0.3, kmax=4):
@@ -86,10 +85,6 @@ class TestStep:
         assert res.energy_delta < 0.0
         assert res.new_state.t == state.t + 1e-5
 
-    def test_step_too_small(self):
-        with pytest.raises(StepTooSmall):
-            flow.step(torus_state(), 1e-9, dt_min=1e-6)
-
     @pytest.mark.parametrize("backend", ["torus", "toric1d"])
     def test_richardson_step_consistency(self, backend):
         # One dt step versus two dt/2 steps: the gap is O(dt^2), so
@@ -156,7 +151,8 @@ class TestRun:
             dt_max=2.0, t_end=10.0, sample_interval=1.0,
         )
         result = flow.run(cfg, state)
-        assert result.trace.termination in ("left_cone", "error")
+        assert result.trace.termination == "left_cone"
+        assert result.reason.startswith("positivity lost at minimum step")
         assert result.trace.samples  # partial trace retained
 
     def test_toric_run_factors_once_per_step_size(self, monkeypatch):
@@ -270,39 +266,3 @@ class TestExtremality:
     def test_generic_state_is_not(self):
         assert flow.extremality_residual(torus_state()) > 1e-3
         assert flow.extremality_residual(toric_state()) > 1e-3
-
-
-class TestModifiedFlow:
-    def test_zero_field_reduces_to_rhs(self):
-        state = torus_state()
-        spec = diagnostics.VectorFieldSpec("torus", (0.0, 0.0))
-        assert np.array_equal(flow.modified_rhs(state, spec).values,
-                              flow.rhs(state).values)
-
-    def test_toric_circle_generator_acts_trivially(self):
-        state = toric_state()
-        spec = diagnostics.VectorFieldSpec("toric1d", (1.5,))
-        assert np.array_equal(flow.modified_rhs(state, spec).values,
-                              flow.rhs(state).values)
-
-    def test_transport_commutes_with_flow_to_second_order(self):
-        # Advancing the modified flow one Euler step approximates
-        # translating the plain-flow step; the defect is O(dt^2).
-        state = torus_state(amp=0.2, kmax=2)
-        spec = diagnostics.VectorFieldSpec("torus", (1.0, 0.0))
-        defects = []
-        for dt in (2e-4, 1e-4):
-            moved = state.values + dt * flow.modified_rhs(state, spec).values
-            plain = state.values + dt * flow.rhs(state).values
-            translated = _translate(plain, dt, 0.0)
-            defects.append(np.max(np.abs(moved - translated)))
-        ratio = defects[0] / defects[1]
-        assert 3.0 < ratio < 5.0  # quadratic in dt
-
-
-def _translate(phi, sx, sy):
-    n = phi.shape[0]
-    kx = np.fft.fftfreq(n, d=1.0 / n)
-    ky = np.arange(n // 2 + 1)
-    ph = np.exp(1j * (kx[:, None] * sx + ky[None, :] * sy))
-    return np.fft.irfft2(np.fft.rfft2(phi) * ph, s=phi.shape)

@@ -120,19 +120,6 @@ class TestVolumeAndEnergy:
         assert geometry.calabi_energy(perturbed(64)) > 0.0
 
 
-class TestRescaleCovariance:
-    @pytest.mark.parametrize("a", [0.5, 2.0, 10.0])
-    def test_scalar_from_rho_is_linear(self, a):
-        # g -> A g sends the smooth profile rho to rho / A, and the
-        # curvature formula is linear in rho.
-        m = 64
-        state = perturbed(m, seed=5, amp=0.3)
-        rho = 1.0 / geometry.base_field(state)
-        s1 = toric.scalar_from_rho(rho)
-        s2 = toric.scalar_from_rho(rho / a)
-        assert np.allclose(s2, s1 / a, rtol=0, atol=1e-12 * np.max(np.abs(s1)))
-
-
 def test_reflection_is_exact_grid_permutation():
     o = toric.ops(33)
     assert np.array_equal(o.x[::-1], -o.x)

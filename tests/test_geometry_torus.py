@@ -143,7 +143,7 @@ class TestCurvatureNorms:
         # Feeding A*h into the density-level formulas realizes g -> A g.
         state = _random_state(32, np.random.default_rng(5), amp=0.4)
         phi = state.values
-        h = torus.conformal_density(phi)
+        h = torus.base_field(phi)
 
         def norms(dens):
             s = torus.scalar_curvature(phi, dens)

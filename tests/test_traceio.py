@@ -338,6 +338,25 @@ class TestCheckpoint:
         lines[0] = json.dumps(head, sort_keys=True)
         return lines
 
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "x"), ("dt", math.nan), ("dt", 0), ("dt", -1.0),
+        ("dt", math.inf), ("streak", "x"), ("streak", 1.5), ("streak", -1),
+        ("streak", True), ("checkpoint_index", -3),
+        ("checkpoint_index", 2.0), ("next_sample_t", math.nan),
+        ("next_sample_t", math.inf), ("next_sample_t", None),
+        ("next_checkpoint_t", math.nan), ("next_checkpoint_t", -math.inf),
+        ("next_checkpoint_t", "x"),
+    ])
+    def test_engine_values_that_cannot_drive_a_run(self, tmp_path, key,
+                                                   value):
+        path = tmp_path / "s.ckpt"
+        traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
+                                 path)
+        lines = self.rewrite_header(path, engine={**self.ENGINE, key: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptFile):
+            traceio.read_checkpoint(path)
+
     def test_value_count_must_fill_the_grid(self, tmp_path):
         # 63 values agree with n_values but fill no 8 x 8 grid.
         path = tmp_path / "s.ckpt"
