@@ -76,10 +76,14 @@ def cmd_run(args):
     cfg, initial, manifest_out = _load_manifest(args.manifest)
     outdir = _resolve_outdir(args.outdir, manifest_out)
     if args.resume:
-        ckpt = traceio.read_checkpoint(
-            args.resume, expect_backend=cfg.backend,
-            expect_resolution=cfg.resolution,
-        )
+        try:
+            ckpt = traceio.read_checkpoint(
+                args.resume, expect_backend=cfg.backend,
+                expect_resolution=cfg.resolution,
+            )
+        except OSError as exc:
+            raise BadParams(
+                f"unreadable checkpoint {args.resume}: {exc}") from exc
         print(f"resuming from {args.resume} at t={ckpt.state.t:g}",
               file=sys.stderr)
         result = flow.resume(cfg, ckpt, checkpoint_dir=outdir,

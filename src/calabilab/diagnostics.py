@@ -68,13 +68,14 @@ def basis_fields(backend):
     return tuple(VectorFieldSpec(backend, row) for row in np.eye(dim))
 
 
-def futaki(state, v_spec):
-    """Futaki pairing of the class with a holomorphic field.
+def futaki(state, fields):
+    """Futaki pairings of the class with holomorphic fields, one per field.
 
-    Solves lap_g f = S - S_bar (solvable: the data has zero mean by the
-    conservation identity), shifts f so that int e^f dV equals the volume,
-    and returns int V(f) dV.  The shift drops out of the pairing but is
-    kept so the returned potential convention is canonical.
+    Solves lap_g f = S - S_bar once (solvable: the data has zero mean by
+    the conservation identity), shifts f so that int e^f dV equals the
+    volume, and returns the tuple of int V(f) dV over ``fields``.  The
+    shift drops out of the pairing but is kept so the potential convention
+    is canonical.
     """
     ops = geometry.backend_module(state.backend)
     base = geometry.base_field(state)
@@ -89,7 +90,7 @@ def futaki(state, v_spec):
         )
     vol = geometry.volume(state)
     f = f + np.log(vol / geometry.grid_integral(state, np.exp(f)))
-    return ops.futaki_pairing(base, f, v_spec.coefficients)
+    return ops.futaki_pairing(base, f, [v.coefficients for v in fields])
 
 
 def evolution_residual(s_prev, s_next, dt):
@@ -140,10 +141,8 @@ def sample(state, prev=None, dt=None, reference=None):
     sup_s, sup_hess, sup_rm = geometry.curvature_norms(state)
     sup_grad, sup_bihess = geometry.scalar_probes(state)
     try:
-        fut = max(
-            (abs(futaki(state, v)) for v in basis_fields(state.backend)),
-            default=0.0,
-        )
+        fut = max(map(abs, futaki(state, basis_fields(state.backend))),
+                  default=0.0)
     except SolverFailure:
         fut = None
     evo = None

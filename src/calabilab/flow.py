@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import diagnostics, geometry, traceio
-from .errors import NonKahler, SchemaMismatch
+from .errors import CorruptFile, NonKahler, SchemaMismatch
 from .geometry import TORIC, TORUS, MetricState, toric, torus
 from .scale import Trace
 
@@ -304,9 +304,32 @@ def resume(cfg, checkpoint, checkpoint_dir=None, on_accept=None):
             f"checkpoint config hash {checkpoint.config_hash} does not match "
             f"the supplied config {expected}"
         )
+    engine = EngineState.from_dict(checkpoint.engine)
+    _check_cursors(cfg, checkpoint.state.t, engine)
     return run(cfg, checkpoint.state, checkpoint_dir=checkpoint_dir,
-               on_accept=on_accept,
-               engine=EngineState.from_dict(checkpoint.engine))
+               on_accept=on_accept, engine=engine)
+
+
+def _check_cursors(cfg, t, engine):
+    """CorruptFile unless ``run`` can advance the engine's cursors past t.
+
+    A run leaves both cursors past its time, and a run without periodic
+    checkpoints keeps ``next_checkpoint_t`` at +Infinity.  A cursor more
+    than one interval behind ``t``, or a finite cursor with no interval to
+    add, would stall ``run``'s catch-up loops.
+    """
+    for key, interval in (("next_sample_t", cfg.sample_interval),
+                          ("next_checkpoint_t", cfg.checkpoint_interval)):
+        cursor = getattr(engine, key)
+        if cursor == math.inf:
+            continue
+        if interval <= 0:
+            why = "is finite, but the config has no interval to advance it"
+        elif cursor < t - interval:
+            why = f"lies more than one interval ({interval!r}) before t {t!r}"
+        else:
+            continue
+        raise CorruptFile(f"checkpoint {key} {cursor!r} {why}")
 
 
 def _check_state(cfg, state):

@@ -14,10 +14,11 @@ and the Calabi energy are written once here, over the backend's
 ``laplacian``, ``grad_norm`` and ``integral``.
 
 A state is a backend name, the backend's value grid (torus phi, toric v)
-and the flow time.  It derives three things on first use and keeps them:
+and the flow time.  It derives four things on first use and keeps them:
 its base field (torus h = 1 + lap0(phi), toric 1 + (1-x^2) v''), its
-scalar curvature S and its Calabi energy.  Every caller reads these, so
-each is computed once per state.  The cached arrays are read-only and take
+scalar curvature S, lap_g S (the curvature norms and the smoothing probes
+both read it) and its Calabi energy.  Every caller reads these, so each is
+computed once per state.  The cached arrays are read-only and take
 no part in equality or ``repr``.  States are otherwise immutable value
 objects, and every operation is a pure function of its inputs and safe to
 call concurrently: a cache fill is idempotent, so two threads that fill
@@ -211,10 +212,10 @@ def calabi_energy(state):
     return _derive(state, "energy", _energy)
 
 
-def laplacian_g(state, f):
-    vals = f.values if isinstance(f, ScalarField) else np.asarray(f, float)
-    out = _ops(state).laplacian(base_field(state), vals)
-    return ScalarField(out, state.backend)
+def _lap_scalar(state):
+    """lap_g S, read by both the curvature norms and the smoothing probes."""
+    return _derive(state, "lap_scalar", lambda st: _ops(st).laplacian(
+        base_field(st), _scalar(st)))
 
 
 def curvature_norms(state):
@@ -225,10 +226,9 @@ def curvature_norms(state):
     this dimension.  Both constants are convention choices shared by every
     operation in the package.
     """
-    s = _scalar(state)
-    sup_s = float(np.max(np.abs(s)))
-    lap_s = _ops(state).laplacian(base_field(state), s)
-    return sup_s, 0.5 * float(np.max(np.abs(lap_s))), 0.5 * sup_s
+    sup_s = float(np.max(np.abs(_scalar(state))))
+    sup_lap = float(np.max(np.abs(_lap_scalar(state))))
+    return sup_s, 0.5 * sup_lap, 0.5 * sup_s
 
 
 def scalar_probes(state):
@@ -238,10 +238,10 @@ def scalar_probes(state):
     |lap_g(lap_g S)| / 4, the fourth-order quantity paired with the
     Hessian norm in the smoothing-rate probes.
     """
-    ops, base, s = _ops(state), base_field(state), _scalar(state)
-    sup_grad = float(np.max(ops.grad_norm(base, s)))
-    lg = ops.laplacian(base, s)
-    return sup_grad, 0.25 * float(np.max(np.abs(ops.laplacian(base, lg))))
+    ops, base = _ops(state), base_field(state)
+    sup_grad = float(np.max(ops.grad_norm(base, _scalar(state))))
+    bilap = ops.laplacian(base, _lap_scalar(state))
+    return sup_grad, 0.25 * float(np.max(np.abs(bilap)))
 
 
 def grid_integral(state, values):

@@ -272,9 +272,9 @@ def sobolev_gap(v_a, v_b):
     return float(np.sqrt(max(best, 0.0)))
 
 
-def futaki_pairing(p, f, coefficients):
-    """Zero: the circle generator annihilates invariant potentials."""
-    return 0.0 * coefficients[0]
+def futaki_pairing(p, f, rows):
+    """Zeros: the circle generator annihilates invariant potentials."""
+    return tuple(0.0 * c for (c,) in rows)
 
 
 def _seeded_potential(m, seed, amplitude, top, decay):

@@ -261,11 +261,10 @@ def _weighted_power(wgt, spec, n):
     return float(np.sum(wgt * dup[None, :] * np.abs(spec) ** 2)) / (n * n) ** 2
 
 
-def futaki_pairing(h, f, coefficients):
-    """int V(f) dV for the constant field V = a d/dx + b d/dy."""
-    a, b = coefficients
+def futaki_pairing(h, f, rows):
+    """int V(f) dV for each constant field V = a d/dx + b d/dy in rows."""
     fx, fy = grad0(f)
-    return integral(h, a * fx + b * fy)
+    return tuple(integral(h, a * fx + b * fy) for a, b in rows)
 
 
 def _seeded_potential(n, seed, amplitude, cut, decay):

@@ -1,29 +1,39 @@
 """Deterministic, versioned serialization of traces, checkpoints, reports.
 
-File layout (format version 1), shared by every artifact kind:
+Every artifact starts with a single-line JSON header carrying
+``format_version``, ``kind`` and the kind-specific fields listed below.
+The version is per kind (``FORMAT_VERSIONS``): traces and reports are
+version 1, checkpoints version 2, and a reader refuses any version above
+its kind's.
 
-* line 1: a single-line JSON header carrying ``format_version``, ``kind``
-  and the kind-specific fields listed below;
-* remaining lines: one record per line, space-separated columns.
+* trace (v1): after the header, one sample per line, space-separated
+  columns.  The header declares the sample schema (column order) and the
+  sample count.  Every float is written with ``repr``, whose shortest
+  round-trip representation restores the exact double, so
+  read(write(x)) is bit-identical; missing optional values are the single
+  character ``-``.
+* checkpoint (v2): the header declares the value count ``n_values`` and
+  carries the adaptive-engine state needed for bit-exact resume.  After
+  the header's newline come the raw grid values, ``n_values``
+  little-endian float64 (``<f8``), row-major, with no separators.  A
+  version 1 checkpoint, one ``repr`` value per line, is still read.
+* report (v1): the header itself, indented, holds the report object.
 
-Trace files declare the sample schema (column order) and sample count in
-the header; checkpoint files declare the potential length and carry the
-adaptive-engine state needed for bit-exact resume.  Every float is written
-with ``repr``, whose shortest round-trip representation restores the exact
-double, so read(write(x)) is bit-identical; missing optional values are
-the single character ``-``.  JSON numbers use the IEEE extensions
-(``Infinity``/``NaN``) accepted by the standard library parser.
+JSON numbers use the IEEE extensions (``Infinity``/``NaN``) accepted by
+the standard library parser.
 
 Error taxonomy: damaged bodies (truncation, arity, unparsable tokens, a
 blank required column, sample times that are not finite, strictly
-increasing and inside [t_start, t_end], a value count that does not fill
-the declared grid, values the backend refuses), files that do not decode
-as text, traces without a finite ``t_start`` and ``t_end``, checkpoints
-without a finite time or a complete engine state, counts (``n_samples``,
-``n_values``) that are not integers, and a trace ``metadata`` or a
-``report`` that is not a JSON object are ``CorruptFile``; header-level disagreements (kind, backend, schema, a
-resolution the backend does not support) are ``SchemaMismatch``; an
-unsupported ``format_version`` is ``VersionMismatch``.
+increasing and inside [t_start, t_end], a value count or payload length
+that does not fill the declared grid, a missing value, values the backend
+refuses), headers and text files that do not decode, traces without a
+finite ``t_start`` and ``t_end``, checkpoints without a finite time or a
+complete engine state, counts (``n_samples``, ``n_values``) that are not
+integers, and a trace ``metadata`` or a ``report`` that is not a JSON
+object are ``CorruptFile``; header-level disagreements (kind, backend,
+schema, a resolution the backend does not support) are
+``SchemaMismatch``; an unsupported ``format_version`` is
+``VersionMismatch``.
 
 Writers never leave a partial file at the final path: each writes a
 temporary file in the same directory and renames it over the target.
@@ -42,7 +52,8 @@ from .diagnostics import SAMPLE_SCHEMA
 from .errors import CorruptFile, SchemaMismatch, VersionMismatch
 from .scale import TERMINATIONS, Trace, record_columns
 
-FORMAT_VERSION = 1
+# The version each kind is written in; a reader takes 1 up to it.
+FORMAT_VERSIONS = {"trace": 1, "checkpoint": 2, "report": 1}
 
 # The adaptive-engine fields a checkpoint must carry to resume a run
 # (``flow.EngineState``).
@@ -62,16 +73,17 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_atomic(path, write):
+def _write_atomic(path, write, mode="w"):
     """Call ``write(fh)`` on a temporary sibling of ``path``, then rename it.
 
-    A failure inside ``write`` leaves any earlier file at ``path``
-    untouched and removes the temporary file.
+    The sibling is opened with ``mode`` (``"wb"`` for a binary file).  A
+    failure inside ``write`` leaves any earlier file at ``path`` untouched
+    and removes the temporary file.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             write(fh)
         os.replace(tmp, path)
     finally:
@@ -79,13 +91,24 @@ def _write_atomic(path, write):
             os.remove(tmp)
 
 
-def _read_text(path):
-    """The whole file as text; CorruptFile when it does not decode."""
+def _decode(raw, what):
+    """UTF-8 bytes as text; CorruptFile when they do not decode."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        return raw.decode()
     except UnicodeDecodeError as exc:
-        raise CorruptFile(f"undecodable file: {exc}") from exc
+        raise CorruptFile(f"undecodable {what}: {exc}") from exc
+
+
+def _first_line(fh, want_kind):
+    """The checked header on the first line of the binary file ``fh``.
+
+    Read on its own, so a file of another kind, a binary checkpoint
+    included, is a SchemaMismatch whatever follows its header.
+    """
+    line = fh.readline()
+    if not line:
+        raise CorruptFile("empty file")
+    return _header(_decode(line, "header"), want_kind)
 
 
 def _header(text, want_kind):
@@ -96,10 +119,16 @@ def _header(text, want_kind):
         raise CorruptFile(f"unreadable header: {exc}") from exc
     if not isinstance(head, dict) or "format_version" not in head:
         raise CorruptFile("header is not a format header")
-    if head["format_version"] != FORMAT_VERSION:
+    # The version is checked against the file's own kind when it has one,
+    # so a file of another kind is a SchemaMismatch whatever its version.
+    kind = head.get("kind")
+    if not (isinstance(kind, str) and kind in FORMAT_VERSIONS):
+        kind = want_kind
+    latest = FORMAT_VERSIONS[kind]
+    if head["format_version"] not in range(1, latest + 1):
         raise VersionMismatch(
-            f"format version {head['format_version']} not supported "
-            f"(this build reads {FORMAT_VERSION})"
+            f"{kind} format version {head['format_version']} not "
+            f"supported (this build reads 1 to {latest})"
         )
     if head.get("kind") != want_kind:
         raise SchemaMismatch(
@@ -110,7 +139,7 @@ def _header(text, want_kind):
 
 def write_trace(trace, path):
     head = {
-        "format_version": FORMAT_VERSION,
+        "format_version": FORMAT_VERSIONS["trace"],
         "kind": "trace",
         "backend": trace.metadata.get("backend"),
         "resolution": trace.metadata.get("resolution"),
@@ -154,10 +183,9 @@ def _object(value, what):
 
 
 def read_trace(path):
-    lines = _read_text(path).splitlines()
-    if not lines:
-        raise CorruptFile("empty file")
-    head = _header(lines[0], "trace")
+    with open(path, "rb") as fh:
+        head = _first_line(fh, "trace")
+        body = _decode(fh.read(), "file").splitlines()
     for key in ("schema", "n_samples", "t_start", "t_end", "termination"):
         if key not in head:
             raise CorruptFile(f"trace header is missing {key!r}")
@@ -171,7 +199,6 @@ def read_trace(path):
     t_end = _finite_number(head["t_end"], "trace t_end")
     n_samples = _count(head["n_samples"], "trace n_samples")
     metadata = _object(head.get("metadata", {}), "trace metadata")
-    body = lines[1:]
     if len(body) != n_samples:
         raise CorruptFile(
             f"expected {n_samples} samples, found {len(body)} lines"
@@ -196,9 +223,10 @@ class CheckpointData:
 
 
 def write_checkpoint(state, engine_dict, cfg_hash, path):
-    vals = state.values.ravel()
+    # On a little-endian host this is the state's own array, not a copy.
+    vals = np.ascontiguousarray(state.values, dtype="<f8")
     head = {
-        "format_version": FORMAT_VERSION,
+        "format_version": FORMAT_VERSIONS["checkpoint"],
         "kind": "checkpoint",
         "backend": state.backend,
         "resolution": state.resolution,
@@ -207,13 +235,13 @@ def write_checkpoint(state, engine_dict, cfg_hash, path):
         "engine": engine_dict,
         "n_values": int(vals.size),
     }
+    line = (json.dumps(head, sort_keys=True) + "\n").encode()
 
     def write(fh):
-        fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for x in vals:
-            fh.write(_fmt(x) + "\n")
+        fh.write(line)
+        fh.write(vals)
 
-    _write_atomic(path, write)
+    _write_atomic(path, write, "wb")
 
 
 def _check_engine(engine):
@@ -233,11 +261,21 @@ def _check_engine(engine):
                        "checkpoint next_checkpoint_t")
 
 
+def _text_values(body, n_values):
+    """The values of a version 1 checkpoint body: one ``repr`` per line."""
+    lines = _decode(body, "file").splitlines()
+    if len(lines) != n_values:
+        raise CorruptFile(f"expected {n_values} values, found {len(lines)}")
+    try:
+        return np.array(lines, dtype=object).astype(float)
+    except ValueError as exc:
+        raise CorruptFile(f"checkpoint values: {exc}") from None
+
+
 def read_checkpoint(path, expect_backend=None, expect_resolution=None):
-    lines = _read_text(path).splitlines()
-    if not lines:
-        raise CorruptFile("empty file")
-    head = _header(lines[0], "checkpoint")
+    with open(path, "rb") as fh:
+        head = _first_line(fh, "checkpoint")
+        body = fh.read()
     backend = head.get("backend")
     if backend not in geometry.BACKENDS:
         raise SchemaMismatch(f"unknown backend {backend!r}")
@@ -257,18 +295,18 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
         raise SchemaMismatch(f"checkpoint header: {exc}") from None
     shape = ops.grid_shape(res)
     n_values = _count(head.get("n_values"), "checkpoint n_values")
-    body = lines[1:]
-    if len(body) != n_values:
-        raise CorruptFile(f"expected {n_values} values, found {len(body)}")
-    if len(body) != math.prod(shape):
+    if head["format_version"] == 1:
+        vals = _text_values(body, n_values)
+    elif len(body) != 8 * n_values:
+        raise CorruptFile(f"expected {8 * n_values} payload bytes for "
+                          f"{n_values} values, found {len(body)}")
+    else:
+        vals = np.frombuffer(body, dtype="<f8")
+    if vals.size != math.prod(shape):
         raise CorruptFile(
-            f"{len(body)} values do not fill a {backend} grid of "
+            f"{vals.size} values do not fill a {backend} grid of "
             f"resolution {res}"
         )
-    try:
-        vals = np.array(body, dtype=object).astype(float)
-    except ValueError as exc:
-        raise CorruptFile(f"checkpoint values: {exc}") from None
     if np.any(np.isnan(vals)):
         raise CorruptFile("checkpoint contains missing values")
     t = _finite_number(head.get("t"), "checkpoint time")
@@ -289,7 +327,7 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
 def write_report(report_dict, path):
     """Canonical JSON report; identical inputs give identical bytes."""
     head = {
-        "format_version": FORMAT_VERSION,
+        "format_version": FORMAT_VERSIONS["report"],
         "kind": "report",
         "report": report_dict,
     }
@@ -298,5 +336,6 @@ def write_report(report_dict, path):
 
 
 def read_report(path):
-    head = _header(_read_text(path), "report")
+    with open(path, "rb") as fh:
+        head = _header(_decode(fh.read(), "file"), "report")
     return _object(head.get("report"), "report")

@@ -1,7 +1,10 @@
 """Command-line surface: run, analyze, sweep, error reporting."""
 
 import json
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -185,7 +188,8 @@ def one_line_error(args, capsys):
 
 
 class TestDamagedInputs:
-    def test_checkpoint_time_that_is_not_a_number(self, tmp_path, capsys):
+    def test_checkpoint_time_that_is_not_a_number(self, tmp_path, capsys,
+                                                  edit_header):
         manifest = write_manifest(
             tmp_path,
             initial={"preset": "random", "seed": 5, "amplitude": 0.2},
@@ -193,11 +197,7 @@ class TestDamagedInputs:
         out = tmp_path / "out"
         run_cli(["run", manifest, "--outdir", str(out)], capsys)
         ckpt = out / "checkpoint_0001.ckpt"
-        lines = ckpt.read_text().splitlines()
-        head = json.loads(lines[0])
-        head["t"] = "soon"
-        lines[0] = json.dumps(head, sort_keys=True)
-        ckpt.write_text("\n".join(lines) + "\n")
+        edit_header(ckpt, lambda h: h.update(t="soon"))
         code, payload = one_line_error(
             ["run", manifest, "--outdir", str(tmp_path / "o2"),
              "--resume", str(ckpt)], capsys)
@@ -210,7 +210,7 @@ class TestDamagedInputs:
         ("checkpoint_index", -3),
     ])
     def test_checkpoint_engine_value_that_cannot_resume(
-            self, tmp_path, capsys, key, value):
+            self, tmp_path, capsys, key, value, edit_header):
         manifest = write_manifest(
             tmp_path,
             initial={"preset": "random", "seed": 5, "amplitude": 0.2},
@@ -218,11 +218,7 @@ class TestDamagedInputs:
         out = tmp_path / "out"
         run_cli(["run", manifest, "--outdir", str(out)], capsys)
         ckpt = out / "checkpoint_0001.ckpt"
-        lines = ckpt.read_text().splitlines()
-        head = json.loads(lines[0])
-        head["engine"][key] = value
-        lines[0] = json.dumps(head, sort_keys=True)
-        ckpt.write_text("\n".join(lines) + "\n")
+        edit_header(ckpt, lambda h: h["engine"].update({key: value}))
         code, payload = one_line_error(
             ["run", manifest, "--outdir", str(tmp_path / "o2"),
              "--resume", str(ckpt)], capsys)
@@ -240,12 +236,57 @@ class TestDamagedInputs:
         out = tmp_path / "out"
         run_cli(["run", manifest, "--outdir", str(out)], capsys)
         final = out / "final.ckpt"
-        assert "Infinity" in final.read_text().splitlines()[0]
+        assert traceio.read_checkpoint(final).engine["next_checkpoint_t"] \
+            == math.inf
         code, payload = run_cli(
             ["run", manifest, "--outdir", str(tmp_path / "o2"),
              "--resume", str(final)], capsys)
         assert code == 0, payload
         assert payload["termination"] == "completed"
+
+    @pytest.mark.parametrize("interval, key, value", [
+        (0.0, "next_checkpoint_t", 0.15),
+        (0.1, "next_checkpoint_t", -1e300),
+        (0.0, "next_sample_t", -1e300),
+    ])
+    def test_checkpoint_cursor_that_would_stall_the_resume(
+            self, tmp_path, capsys, edit_header, interval, key, value):
+        # A written checkpoint has both cursors past its time, and a finite
+        # next_checkpoint_t only with an interval to advance it by.  These
+        # cursors used to spin the resumed run's catch-up loops forever,
+        # so the resume runs in a child process under a timeout.
+        manifest = write_manifest(
+            tmp_path,
+            config={"checkpoint_interval": interval, "t_end": 0.2},
+            initial={"preset": "random", "seed": 5, "amplitude": 0.2},
+        )
+        out = tmp_path / "out"
+        run_cli(["run", manifest, "--outdir", str(out)], capsys)
+        ckpt = out / "final.ckpt"
+        edit_header(ckpt, lambda h: (h.update(t=0.1),
+                                     h["engine"].update({key: value})))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "calabilab", "run", manifest, "--outdir",
+             str(tmp_path / "o2"), "--resume", str(ckpt)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error_class"] == "CorruptFile"
+        assert key in payload["message"]
+
+    def test_missing_checkpoint_for_resume(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.ckpt"
+        code, payload = one_line_error(
+            ["run", write_manifest(tmp_path), "--outdir",
+             str(tmp_path / "out"), "--resume", str(missing)], capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert "nowhere.ckpt" in payload["message"]
 
     @pytest.mark.parametrize("command", ["analyze", "resume"])
     def test_input_that_is_not_text(self, tmp_path, capsys, command):
@@ -315,9 +356,9 @@ class TestAtomicOutputs:
         before = summary.read_bytes()
         write_atomic = traceio._write_atomic
 
-        def failing(path, write):
+        def failing(path, write, *mode):
             if os.path.basename(path) != summary.name:
-                return write_atomic(path, write)
+                return write_atomic(path, write, *mode)
 
             def half(fh):
                 fh.write("{")

@@ -46,6 +46,30 @@ class TestSample:
         assert rec.evolution_residual is not None
         assert rec.aut_gap is not None and rec.aut_gap > 0
 
+    def test_one_pass_per_sample(self, monkeypatch):
+        # A sample solves the Futaki Poisson equation once for all basis
+        # fields and computes lap_g S once: 25 FFTs for a torus sample with
+        # every field filled (it was 34).  The step already computed the
+        # new state's base field and S.
+        state = torus_state(n=64)
+        res = flow.step(state, 1e-5)
+        assert res.accepted
+        calls = []
+        for name in ("rfft2", "irfft2", "fft2", "ifft2"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        rec = diagnostics.sample(res.new_state, prev=state, dt=1e-5,
+                                 reference=geometry.flat_state(64))
+        monkeypatch.undo()
+        assert len(calls) <= 25
+        pairings = diagnostics.futaki(res.new_state,
+                                      diagnostics.basis_fields("torus"))
+        assert len(pairings) == 2
+        assert rec.futaki == max(abs(p) for p in pairings)
+
 
 class TestEvolutionResidual:
     def test_fixed_point_is_machine_zero(self):
@@ -104,22 +128,24 @@ class TestEvolutionResidual:
 
 class TestFutaki:
     def test_flat_class_vanishes(self):
-        for spec in diagnostics.basis_fields("torus"):
-            val = diagnostics.futaki(geometry.flat_state(32), spec)
+        vals = diagnostics.futaki(geometry.flat_state(32),
+                                  diagnostics.basis_fields("torus"))
+        assert len(vals) == 2
+        for val in vals:
             assert abs(val) < 1e-12
 
     def test_round_circle_generator_vanishes(self):
-        spec = diagnostics.basis_fields("toric1d")[0]
-        assert diagnostics.futaki(geometry.round_state(64), spec) == 0.0
+        fields = diagnostics.basis_fields("toric1d")
+        assert diagnostics.futaki(geometry.round_state(64), fields) == (0.0,)
 
     def test_linearity_in_the_field(self):
         state = torus_state(n=64, kmax=4)
-        v1, v2 = diagnostics.basis_fields("torus")
-        f1 = diagnostics.futaki(state, v1)
-        f2 = diagnostics.futaki(state, v2)
-        for a, b in ((2.0, -1.5), (0.3, 0.7)):
-            combo = diagnostics.VectorFieldSpec("torus", (a, b))
-            val = diagnostics.futaki(state, combo)
+        combos = [diagnostics.VectorFieldSpec("torus", ab)
+                  for ab in ((2.0, -1.5), (0.3, 0.7))]
+        f1, f2, *vals = diagnostics.futaki(
+            state, diagnostics.basis_fields("torus") + tuple(combos))
+        for spec, val in zip(combos, vals):
+            a, b = spec.coefficients
             assert abs(val - (a * f1 + b * f2)) < 1e-9
 
     def test_bad_field_spec(self):
@@ -138,7 +164,7 @@ class TestFutaki:
             {"preset": "random", "seed": 17, "amplitude": 0.45},
         )
         with pytest.raises(SolverFailure):
-            diagnostics.futaki(state, diagnostics.basis_fields("toric1d")[0])
+            diagnostics.futaki(state, diagnostics.basis_fields("toric1d"))
         # The sample record degrades instead of aborting.
         rec = diagnostics.sample(state)
         assert rec.futaki is None

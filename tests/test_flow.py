@@ -8,7 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from calabilab import flow, geometry, presets
+from calabilab import flow, geometry, presets, traceio
+from calabilab.errors import CorruptFile
 from calabilab.geometry import toric
 
 
@@ -106,6 +107,37 @@ class TestStep:
 
 
 class TestRun:
+    def test_written_cursors_lie_past_the_checkpoint_time(self, tmp_path):
+        # ``resume`` refuses a cursor more than one interval behind the
+        # checkpoint's time; a run writes none.
+        cfg = flow.FlowConfig(
+            backend="torus", resolution=16, dt_init=1e-3, dt_min=1e-8,
+            dt_max=0.1, t_end=0.3, sample_interval=0.07,
+            checkpoint_interval=0.05,
+        )
+        flow.run(cfg, torus_state(n=16), checkpoint_dir=str(tmp_path))
+        paths = sorted(tmp_path.iterdir())
+        assert len(paths) > 2
+        for path in paths:
+            ckpt = traceio.read_checkpoint(path)
+            assert ckpt.engine["next_sample_t"] > ckpt.state.t
+            assert ckpt.engine["next_checkpoint_t"] > ckpt.state.t
+            flow.resume(cfg, ckpt)
+
+    def test_resume_refuses_a_cursor_that_would_stall(self, tmp_path):
+        cfg = flow.FlowConfig(
+            backend="torus", resolution=16, dt_init=1e-3, dt_min=1e-8,
+            dt_max=0.1, t_end=0.2, sample_interval=0.1,
+        )
+        flow.run(cfg, torus_state(n=16), checkpoint_dir=str(tmp_path))
+        ckpt = traceio.read_checkpoint(tmp_path / "final.ckpt")
+        for key, value in (("next_checkpoint_t", 0.5),
+                           ("next_sample_t", ckpt.state.t - 0.11)):
+            bad = traceio.CheckpointData(
+                ckpt.state, {**ckpt.engine, key: value}, ckpt.config_hash)
+            with pytest.raises(CorruptFile, match=key):
+                flow.resume(cfg, bad)
+
     def test_fixed_point_runs_to_completion(self):
         cfg = flow.FlowConfig(
             backend="torus", resolution=16, dt_init=1e-2, dt_min=1e-8,

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -179,7 +180,9 @@ class TestTraceErrors:
             traceio.read_trace(self.write(tmp_path, mutate))
 
     def test_kind_mismatch(self, tmp_path):
-        state = geometry.flat_state(8)
+        # A binary payload that does not decode as text is never read.
+        state = presets.build_initial(
+            "torus", 8, {"preset": "random", "seed": 4, "amplitude": 0.3})
         path = tmp_path / "c.ckpt"
         traceio.write_checkpoint(state, {"dt": 1.0}, "ff", path)
         with pytest.raises(SchemaMismatch):
@@ -299,19 +302,19 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("engine", [None, {}, {"dt": 0.125},
                                         "not a dict"])
-    def test_incomplete_engine_state(self, tmp_path, engine):
+    def test_incomplete_engine_state(self, tmp_path, engine, edit_header):
         path = tmp_path / "s.ckpt"
         full = {"dt": 0.125, "streak": 5, "next_sample_t": 1.5,
                 "next_checkpoint_t": 2.0, "checkpoint_index": 1}
         traceio.write_checkpoint(geometry.flat_state(8), full, "00", path)
-        lines = path.read_text().splitlines()
-        head = json.loads(lines[0])
-        if engine is None:
-            del head["engine"]
-        else:
-            head["engine"] = engine
-        lines[0] = json.dumps(head, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n")
+
+        def change(head):
+            if engine is None:
+                del head["engine"]
+            else:
+                head["engine"] = engine
+
+        edit_header(path, change)
         with pytest.raises(CorruptFile):
             traceio.read_checkpoint(path)
 
@@ -322,21 +325,13 @@ class TestCheckpoint:
     def test_truncated_values(self, tmp_path):
         path = tmp_path / "s.ckpt"
         traceio.write_checkpoint(geometry.flat_state(8), {}, "00", path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-3]) + "\n")
+        path.write_bytes(path.read_bytes()[:-3 * 8])
         with pytest.raises(CorruptFile):
             traceio.read_checkpoint(path)
 
 
     ENGINE = {"dt": 0.125, "streak": 5, "next_sample_t": 1.5,
               "next_checkpoint_t": 2.0, "checkpoint_index": 1}
-
-    def rewrite_header(self, path, **changes):
-        lines = path.read_text().splitlines()
-        head = json.loads(lines[0])
-        head.update(changes)
-        lines[0] = json.dumps(head, sort_keys=True)
-        return lines
 
     @pytest.mark.parametrize("key, value", [
         ("dt", "x"), ("dt", math.nan), ("dt", 0), ("dt", -1.0),
@@ -348,58 +343,125 @@ class TestCheckpoint:
         ("next_checkpoint_t", "x"),
     ])
     def test_engine_values_that_cannot_drive_a_run(self, tmp_path, key,
-                                                   value):
+                                                   value, edit_header):
         path = tmp_path / "s.ckpt"
         traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
                                  path)
-        lines = self.rewrite_header(path, engine={**self.ENGINE, key: value})
-        path.write_text("\n".join(lines) + "\n")
+        edit_header(path, lambda h: h.update(
+            engine={**self.ENGINE, key: value}))
         with pytest.raises(CorruptFile):
             traceio.read_checkpoint(path)
 
-    def test_value_count_must_fill_the_grid(self, tmp_path):
+    def test_value_count_must_fill_the_grid(self, tmp_path, edit_header):
         # 63 values agree with n_values but fill no 8 x 8 grid.
         path = tmp_path / "s.ckpt"
         traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
                                  path)
-        lines = self.rewrite_header(path, n_values=63)[:-1]
-        path.write_text("\n".join(lines) + "\n")
+        edit_header(path, lambda h: h.update(n_values=63))
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CorruptFile):
             traceio.read_checkpoint(path)
 
     @pytest.mark.parametrize("res", [48, 4, None, "8"])
-    def test_resolution_the_backend_refuses(self, tmp_path, res):
+    def test_resolution_the_backend_refuses(self, tmp_path, res,
+                                            edit_header):
         path = tmp_path / "s.ckpt"
         traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
                                  path)
-        lines = self.rewrite_header(path, resolution=res)
-        path.write_text("\n".join(lines) + "\n")
+        edit_header(path, lambda h: h.update(resolution=res))
         with pytest.raises(SchemaMismatch):
             traceio.read_checkpoint(path)
 
     @pytest.mark.parametrize("t", ["soon", None, True, float("nan"),
                                    float("inf"), [0.5]])
-    def test_time_must_be_a_finite_number(self, tmp_path, t):
+    def test_time_must_be_a_finite_number(self, tmp_path, t, edit_header):
         path = tmp_path / "s.ckpt"
         traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
                                  path)
-        lines = self.rewrite_header(path, t=t)
-        path.write_text("\n".join(lines) + "\n")
+        edit_header(path, lambda h: h.update(t=t))
         with pytest.raises(CorruptFile):
             traceio.read_checkpoint(path)
-        lines = self.rewrite_header(path, t=2)
-        path.write_text("\n".join(lines) + "\n")
+        edit_header(path, lambda h: h.update(t=2))
         assert traceio.read_checkpoint(path).state.t == 2
 
     def test_values_the_backend_refuses(self, tmp_path):
         path = tmp_path / "s.ckpt"
         traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
                                  path)
-        lines = path.read_text().splitlines()
-        lines[1] = "1.0"  # breaks the zero-mean gauge
-        path.write_text("\n".join(lines) + "\n")
+        set_first_value(path, 1.0)  # breaks the zero-mean gauge
         with pytest.raises(CorruptFile):
             traceio.read_checkpoint(path)
+
+
+def set_first_value(path, value):
+    """Overwrite the first payload value of a version 2 checkpoint."""
+    head, _, payload = path.read_bytes().partition(b"\n")
+    path.write_bytes(head + b"\n" + struct.pack("<d", value) + payload[8:])
+
+
+class TestCheckpointFormat:
+    ENGINE = TestCheckpoint.ENGINE
+
+    def write(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        state = presets.build_initial(
+            "torus", 8, {"preset": "random", "seed": 4, "amplitude": 0.3})
+        traceio.write_checkpoint(state, self.ENGINE, "00", path)
+        return path
+
+    def test_round_trip_keeps_signed_zeros_subnormals_and_extremes(
+            self, tmp_path):
+        big = np.finfo(float).max
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        phi = np.zeros((8, 8))
+        phi.flat[:8] = [-0.0, big, -big, tiny, -tiny, 2.5 * tiny,
+                        np.finfo(float).tiny / 3, -np.finfo(float).tiny / 3]
+        state = geometry.torus_state(phi)
+        path = tmp_path / "s.ckpt"
+        traceio.write_checkpoint(state, self.ENGINE, "00", path)
+        back = traceio.read_checkpoint(path).state
+        assert np.array_equal(back.values.view(np.int64),
+                              state.values.view(np.int64))
+        assert np.signbit(back.values.flat[0])
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "trailing byte", "nan", "inf", "no payload",
+        "no newline",
+    ])
+    def test_damaged_payload_is_corrupt(self, tmp_path, damage):
+        path = self.write(tmp_path)
+        data = path.read_bytes()
+        line = data[:data.index(b"\n")]
+        if damage == "truncated":
+            path.write_bytes(data[:-1])
+        elif damage == "trailing byte":
+            path.write_bytes(data + b"\0")
+        elif damage == "nan":
+            set_first_value(path, math.nan)
+        elif damage == "inf":
+            set_first_value(path, math.inf)
+        elif damage == "no payload":
+            path.write_bytes(line + b"\n")
+        else:
+            path.write_bytes(line)
+        with pytest.raises(CorruptFile):
+            traceio.read_checkpoint(path)
+
+    def test_versions_are_per_kind(self, tmp_path, edit_header):
+        path = self.write(tmp_path)
+        edit_header(path, lambda h: h.update(format_version=3))
+        with pytest.raises(VersionMismatch):
+            traceio.read_checkpoint(path)
+        trace = tmp_path / "x.trace"
+        traceio.write_trace(small_trace(5), trace)
+        edit_header(trace, lambda h: h.update(format_version=2))
+        with pytest.raises(VersionMismatch):
+            traceio.read_trace(trace)
+        report = tmp_path / "r.report.json"
+        report.write_text(json.dumps(
+            {"format_version": 2, "kind": "report", "report": {}}))
+        with pytest.raises(VersionMismatch):
+            traceio.read_report(report)
 
 
 @pytest.mark.parametrize("read", [traceio.read_trace, traceio.read_checkpoint,
@@ -426,19 +488,32 @@ class TestAtomicWrites:
         path = tmp_path / f"out.{kind}"
         write(path)
         before = path.read_bytes()
-        fmt = traceio._fmt
         calls = []
 
-        def failing(x):
-            calls.append(x)
-            if len(calls) > 40:
-                raise RuntimeError("disk full")
-            return fmt(x)
+        class DiskFull:
+            """A file whose second write fails, after the header."""
 
-        monkeypatch.setattr(traceio, "_fmt", failing)
-        with pytest.raises(RuntimeError):
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                calls.append(len(data))
+                if len(calls) > 1:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(traceio, "open",
+                            lambda *a, **k: DiskFull(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
             write(path)
-        assert len(calls) == 41
+        assert len(calls) == 2
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == [path.name]
 
@@ -467,6 +542,18 @@ class TestGolden:
         assert abs(float(back.state.values.mean())) < 1e-12
         # The engine dictionary is one a run can resume from.
         flow.EngineState.from_dict(back.engine)
+
+    def test_checkpoint_v2(self, tmp_path):
+        # The v2 golden holds the v1 golden's checkpoint: the two read to
+        # the same state, and the writer, which writes v2, reproduces it.
+        path = os.path.join(GOLDEN, "checkpoint_v2.ckpt")
+        back = traceio.read_checkpoint(path, expect_backend="torus",
+                                       expect_resolution=8)
+        v1 = traceio.read_checkpoint(os.path.join(GOLDEN,
+                                                  "checkpoint_v1.ckpt"))
+        assert back.state == v1.state
+        assert back.engine == v1.engine
+        assert back.config_hash == v1.config_hash
         out = tmp_path / "copy.ckpt"
         traceio.write_checkpoint(back.state, back.engine, back.config_hash,
                                  out)
