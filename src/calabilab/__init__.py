@@ -3,8 +3,8 @@
 Simulate the fourth-order scalar-curvature flow on two desk-scale
 backends (conformal torus potentials, toric interval potentials), record
 curvature diagnostics along trajectories, and analyze the recorded traces
-with the regularity-scale calculus: curvature scale, Dini derivatives,
-doubling statistics, growth bounds, barrier checks and blow-up rates.
+with the regularity-scale calculus: curvature scale, doubling
+statistics, growth bounds, barrier checks and blow-up rates.
 """
 
 from .diagnostics import DiagnosticsSample, VectorFieldSpec

@@ -46,7 +46,7 @@ def _load_manifest(path):
             raise BadParams(f"unreadable config {cfg_path}: {exc}") from exc
     try:
         cfg = flow.FlowConfig(**cfg_spec)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"bad config: {exc}") from exc
     return cfg, manifest["initial"], manifest.get("outdir")
 

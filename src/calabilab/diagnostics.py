@@ -115,10 +115,10 @@ def evolution_residual(s_prev, s_next, dt):
 def automorphism_gap(state, reference):
     """Order-2 Sobolev gap minimized over the backend's automorphisms.
 
-    Torus: exhaustive grid translations via one spectral correlation, then
-    quadratic refinement.  Toric: identity and the reflection x -> -x.
-    Gauge-fixed on both sides, so the value vanishes identically on pairs
-    that differ by a pure gauge transformation.
+    Torus: the exact minimum over all grid translations, from one spectral
+    correlation.  Toric: the smaller of the identity and the reflection
+    x -> -x.  Gauge-fixed on both sides, so the value vanishes identically
+    on pairs that differ by a pure gauge transformation.
     """
     if state.backend != reference.backend:
         raise ValueError("states live on different backends")

@@ -17,7 +17,7 @@ that resuming reproduces the uninterrupted run bit for bit.
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -45,12 +45,17 @@ class FlowConfig:
 
     def __post_init__(self):
         ops = geometry.backend_module(self.backend)
+        # Every field after backend and resolution is a time or tolerance.
+        if not all(map(math.isfinite, astuple(self)[2:])):
+            raise ValueError("config times and tolerances must be finite")
         if not 0 < self.dt_min <= self.dt_init <= self.dt_max:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be >= 0")
         ops.check_resolution(self.resolution)
 
     def initial_state(self):

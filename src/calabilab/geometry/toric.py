@@ -255,21 +255,21 @@ def strip_affine(v):
 def sobolev_gap(v_a, v_b):
     """Order-2 Sobolev gap minimized over the backend's automorphisms.
 
-    The connected symmetry group available on the interval reduction is the
+    The symmetry group available on the interval reduction is the
     reflection x -> -x together with the identity; the Lobatto grid is
-    symmetric, so the reflection is an exact permutation.
+    symmetric, so the reflection is an exact permutation, and it keeps the
+    gauge (zero endpoint values).
     """
     o = ops(v_a.shape[0])
     best = np.inf
     a0 = strip_affine(v_a)
     b0 = strip_affine(v_b)
-    for cand in (a0, strip_affine(a0[::-1])):
+    for cand in (a0, a0[::-1]):
         d = cand - b0
         d1 = o.d1 @ d
         d2 = o.d2 @ d
-        val = float(o.weights @ (d * d + d1 * d1 + d2 * d2))
-        best = min(best, val)
-    return float(np.sqrt(max(best, 0.0)))
+        best = min(best, float(o.weights @ (d * d + d1 * d1 + d2 * d2)))
+    return float(np.sqrt(best))
 
 
 def futaki_pairing(p, f, rows):

@@ -7,6 +7,9 @@ cone boundary, so admissible presets demand amplitude < 1; the refusal can
 be overridden explicitly for left-cone experiments.
 """
 
+import math
+from numbers import Integral, Real
+
 from . import geometry
 from .errors import BadParams
 
@@ -41,13 +44,21 @@ def build_initial(backend, resolution, spec):
                 f"the {preset} preset does not live on the {backend} backend"
             )
         return geometry.zero_state(backend, resolution)
-    seed = int(spec.pop("seed", 0))
-    amplitude = float(spec.pop("amplitude", 0.1))
+    seed = spec.pop("seed", 0)
+    amplitude = spec.pop("amplitude", 0.1)
     kmax = spec.pop("kmax", None)
-    override = bool(spec.pop("allow_overamplitude", False))
+    override = spec.pop("allow_overamplitude", False)
     _reject(spec)
-    if amplitude <= 0:
-        raise BadParams("amplitude must be positive")
+    if not _is_int(seed) or seed < 0:
+        raise BadParams(f"seed must be an integer >= 0, not {seed!r}")
+    if not (isinstance(amplitude, Real) and not isinstance(amplitude, bool)
+            and 0 < amplitude < math.inf):
+        raise BadParams(
+            f"amplitude must be a finite number > 0, not {amplitude!r}")
+    if kmax is not None and not (_is_int(kmax) and kmax >= 1):
+        raise BadParams(f"kmax must be an integer >= 1, not {kmax!r}")
+    if not isinstance(override, bool):
+        raise BadParams("allow_overamplitude must be true or false")
     if amplitude >= AMPLITUDE_LIMIT and not override:
         raise BadParams(
             f"amplitude {amplitude} reaches the cone boundary; pass "
@@ -58,6 +69,10 @@ def build_initial(backend, resolution, spec):
     else:
         vals = ops.rough_potential(resolution, seed, amplitude)
     return geometry.MetricState(backend, vals)
+
+
+def _is_int(value):
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _reject(spec):

@@ -10,9 +10,6 @@ curvature scale
     F(t0) = sup { s > 0 : sup over [t0-s, t0] of (sup |Rm|)^2 <= 1/s },
     with the supremum treated as infinite once the window leaves the
     recorded domain, so F is capped at t0 - t_start.
-Dini derivatives
-    forward difference quotients over a geometric ladder of offsets,
-    returning (liminf-estimate, limsup-estimate).
 doubling statistics
     first-crossing segmentation of Q through successive doublings of its
     reference value, with the exact integral of P over each segment.
@@ -383,23 +380,6 @@ def curvature_scale(trace, t0):
     return float(curvature_scales(trace, [t0])[0])
 
 
-def dini(trace, name, t):
-    """Discrete lower/upper forward Dini estimates of one trace curve.
-
-    The quotients are taken over a geometric ladder of forward offsets
-    (1, 2, 4, 8 base spacings); the spread between min and max exposes
-    oscillation a single difference would hide.
-    """
-    curve = _curve(trace, name)
-    h = float(np.median(np.diff(curve.t)))
-    offsets = [h, 2 * h, 4 * h, 8 * h]
-    if t < curve.t[0] or t + offsets[-1] > curve.t[-1] + 1e-12:
-        raise DomainError("Dini ladder leaves the trace domain")
-    y0 = float(curve(t))
-    quot = [(float(curve(t + e)) - y0) / e for e in offsets]
-    return min(quot), max(quot)
-
-
 @dataclass(frozen=True)
 class DoublingSegment:
     t0: float
@@ -416,11 +396,11 @@ def doubling_stats(trace):
     one doubling each.  Convergent traces produce the empty list.
     """
     tq, q = trace.series("sup_curv")
-    p_curve = _curve(trace, "sup_hess_scalar")
     segments = []
     n = len(tq)
     if n < 2:
         return segments
+    p_curve = _curve(trace, "sup_hess_scalar")
     i = 0
     while i < n:
         if q[i] <= 0.0:
@@ -772,11 +752,12 @@ def analyze_trace(trace, alpha=0.5, eps0=None, t_sing=None):
     Pointwise quantities (curvature scale, barrier verdicts) are evaluated
     at sample times, deterministically strided down to ``MAX_POINTS`` on
     very long traces.  The window algebra is O(1) per query, so the stride
-    only bounds the size of the report.
+    only bounds the size of the report.  A trace with fewer than two
+    samples has no curve to evaluate, so those sections are empty.
     """
     times = trace.columns["t"]
     stride = max(1, (len(trace) + MAX_POINTS - 1) // MAX_POINTS)
-    eval_times = times[::stride]
+    eval_times = times[::stride] if len(trace) > 1 else times[:0]
     if (len(trace) - 1) % stride:
         eval_times = np.append(eval_times, times[-1])
     f_times = eval_times[eval_times > trace.t_start]

@@ -187,6 +187,41 @@ def one_line_error(args, capsys):
     return code, payload
 
 
+class TestManifestValues:
+    @pytest.mark.parametrize("initial", [
+        {"seed": "abc"}, {"seed": -1}, {"seed": 1.7}, {"seed": True},
+        {"amplitude": "x"}, {"amplitude": math.nan}, {"amplitude": [0.3]},
+        {"kmax": "x"}, {"kmax": 0}, {"kmax": 2.5},
+        {"allow_overamplitude": "yes"}, {"allow_overamplitude": 1},
+    ])
+    def test_initial_value_refused(self, tmp_path, capsys, initial):
+        manifest = write_manifest(
+            tmp_path, initial={"preset": "random", **initial})
+        code, payload = one_line_error(
+            ["run", manifest, "--outdir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert next(iter(initial)) in payload["message"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", math.nan), ("t_end", math.inf), ("dt_max", math.inf),
+        ("sample_interval", math.nan), ("energy_tol", math.nan),
+        ("stop_energy", math.nan), ("checkpoint_interval", math.nan),
+        ("checkpoint_interval", -1.0),
+        pytest.param("t_end", 10 ** 400, id="t_end-int-beyond-float"),
+    ])
+    def test_config_value_refused(self, tmp_path, capsys, field, value):
+        # The flat state is at any positive stop_energy, so an accepted
+        # config stops at once instead of running to an infinite t_end.
+        manifest = write_manifest(
+            tmp_path, config={"stop_energy": 1.0, field: value})
+        code, payload = one_line_error(
+            ["run", manifest, "--outdir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert not (tmp_path / "out").exists()
+
+
 class TestDamagedInputs:
     def test_checkpoint_time_that_is_not_a_number(self, tmp_path, capsys,
                                                   edit_header):
@@ -414,6 +449,31 @@ class TestAnalyze:
         )
         assert code == 0
         assert payload["doubling_segments"] == 0
+
+    @pytest.mark.parametrize("config, resume", [
+        ({}, True),                        # a resume from final.ckpt
+        ({"stop_energy": 1e6}, False),     # stops before its first step
+    ])
+    def test_one_sample_trace_that_run_writes(self, tmp_path, capsys,
+                                              config, resume):
+        manifest = write_manifest(
+            tmp_path, config=config,
+            initial={"preset": "random", "seed": 5, "amplitude": 0.2})
+        out = tmp_path / "out"
+        code, payload = run_cli(["run", manifest, "--outdir", str(out)],
+                                capsys)
+        if resume:
+            code, payload = run_cli(
+                ["run", manifest, "--outdir", str(out),
+                 "--resume", str(out / "final.ckpt")], capsys)
+        assert code == 0 and payload["samples"] == 1
+        code, payload = run_cli(
+            ["analyze", payload["trace"], "--outdir", str(tmp_path)], capsys)
+        assert code == 0, payload
+        report = traceio.read_report(payload["report"])
+        assert report["doubling"] == report["barrier"] == []
+        assert report["curvature_scale"] == []
+        assert math.isnan(report["growth"]["anchor"])
 
     def test_unreadable_trace_reports_error_class(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"

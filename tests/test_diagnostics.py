@@ -216,6 +216,34 @@ class TestAutomorphismGap:
         assert abs(geometry.calabi_energy(rolled)
                    - geometry.calabi_energy(state)) < 1e-10
 
+    def test_torus_gap_is_the_minimum_over_grid_translations(self):
+        # Brute-force oracle: every one of the n^2 np.roll translations.
+        n = 16
+        wgt = (1.0 + torus._ops(n)[2]) ** 2
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            a, b = (geometry.torus_state(x - x.mean())
+                    for x in rng.standard_normal((2, n, n)))
+            fb = np.fft.rfft2(b.values)
+            brute = min(
+                torus._weighted_power(
+                    wgt, np.fft.rfft2(np.roll(a.values, (i, j), axis=(0, 1)))
+                    - fb, n)
+                for i in range(n) for j in range(n))
+            gap = diagnostics.automorphism_gap(a, b)
+            assert gap == pytest.approx(np.sqrt(brute), rel=1e-12)
+
+    def test_gap_to_the_zero_state_is_the_plain_norm(self):
+        # Bit for bit: this is the aut_gap column of every torus run.
+        n = 64
+        wgt = (1.0 + torus._ops(n)[2]) ** 2
+        zero = geometry.zero_state("torus", n)
+        for seed in (1, 2, 3):
+            phi = torus_state(seed=seed, n=n).values
+            plain = np.sqrt(torus._weighted_power(wgt, np.fft.rfft2(phi), n))
+            assert diagnostics.automorphism_gap(
+                geometry.torus_state(phi), zero) == plain
+
     def test_backend_mismatch(self):
         with pytest.raises(ValueError):
             diagnostics.automorphism_gap(geometry.flat_state(16),

@@ -289,6 +289,20 @@ class TestConfigValidation:
                             dt_min=1e-4, dt_max=0.1, t_end=1.0,
                             sample_interval=0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", float("nan")), ("t_end", float("inf")),
+        ("dt_max", float("inf")), ("sample_interval", float("nan")),
+        ("energy_tol", float("nan")), ("stop_energy", float("nan")),
+        ("checkpoint_interval", float("nan")),
+        ("checkpoint_interval", -1.0),
+    ])
+    def test_times_and_tolerances_are_finite(self, field, value):
+        spec = dict(backend="torus", resolution=32, dt_init=1e-3,
+                    dt_min=1e-4, dt_max=0.1, t_end=1.0, sample_interval=0.1)
+        spec[field] = value
+        with pytest.raises(ValueError):
+            flow.FlowConfig(**spec)
+
 
 class TestExtremality:
     def test_flat_and_round_are_extremal(self):

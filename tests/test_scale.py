@@ -1,4 +1,4 @@
-"""Trace calculus: curvature scale, Dini, doubling, growth, barrier, rates."""
+"""Trace calculus: curvature scale, doubling, growth, barrier, rates."""
 
 import dataclasses
 import math
@@ -308,59 +308,6 @@ class TestCurvatureScale:
             scale.curvature_scales(tr, [1.0, 2.0, 6.0])
 
 
-class TestDini:
-    def test_linear_curve(self):
-        times = np.linspace(0.0, 10.0, 101)
-        tr = sawtooth(times, 0.3 + 0.7 * times)
-        lo, hi = scale.dini(tr, "sup_curv", 3.0)
-        assert lo == pytest.approx(0.7, abs=1e-12)
-        assert hi == pytest.approx(0.7, abs=1e-12)
-
-    def test_kink_forward_quotients(self):
-        times = np.linspace(-2.0, 2.0, 41)
-        tr = sawtooth(times, np.abs(times) + 1.0)
-        lo, hi = scale.dini(tr, "sup_curv", 0.0)
-        assert lo == pytest.approx(1.0) and hi == pytest.approx(1.0)
-
-    def test_oscillation_spreads_the_bracket(self):
-        tr = scale.synthetic_trace("oscillatory", t0=0.0, t1=10.0, n=201,
-                                   base=1.0, amp=0.5, freq=9.0)
-        lo, hi = scale.dini(tr, "sup_curv", 5.0)
-        assert lo < hi
-
-    def test_matches_reference_ladder(self):
-        # Independent re-computation of the same forward-offset ladder
-        # straight from the knot arrays.
-        tr = scale.synthetic_trace("oscillatory", t0=0.0, t1=10.0, n=201,
-                                   base=1.2, amp=0.4, freq=7.0)
-        t, q = tr.series("sup_curv")
-        h = float(np.median(np.diff(t)))
-        t0 = 4.3
-        quot = [
-            (np.interp(t0 + e, t, q) - np.interp(t0, t, q)) / e
-            for e in (h, 2 * h, 4 * h, 8 * h)
-        ]
-        lo, hi = scale.dini(tr, "sup_curv", t0)
-        assert lo == pytest.approx(min(quot), abs=1e-12)
-        assert hi == pytest.approx(max(quot), abs=1e-12)
-
-    def test_near_end_raises(self):
-        tr = scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=1.0,
-                                   n=11)
-        with pytest.raises(DomainError):
-            scale.dini(tr, "sup_curv", 0.95)
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(pl_traces(), st.floats(0.05, 0.5))
-    def test_lower_never_exceeds_upper(self, tr, frac):
-        t0 = tr.t_start + frac * (tr.t_end - tr.t_start)
-        try:
-            lo, hi = scale.dini(tr, "sup_curv", t0)
-        except DomainError:
-            return
-        assert lo <= hi
-
-
 class TestDoubling:
     def test_convergent_trace_has_no_segments(self):
         times = np.linspace(0.0, 5.0, 51)
@@ -657,8 +604,6 @@ def test_trace_requires_increasing_times():
 def test_derivative_ops_need_two_samples():
     s = scale.synthetic_trace("constant", value=1.0).samples
     lone = scale.Trace((s[0],), 0.0, 0.0, "completed", {})
-    with pytest.raises(DomainError):
-        scale.dini(lone, "sup_curv", 0.0)
     with pytest.raises(DomainError):
         scale.curvature_scale(lone, 0.0)
 
