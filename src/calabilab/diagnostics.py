@@ -15,8 +15,6 @@ import numpy as np
 from . import geometry
 from .errors import DomainError, SolverFailure
 
-FUTAKI_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class DiagnosticsSample:
@@ -71,26 +69,14 @@ def basis_fields(backend):
 def futaki(state, fields):
     """Futaki pairings of the class with holomorphic fields, one per field.
 
-    Solves lap_g f = S - S_bar once (solvable: the data has zero mean by
-    the conservation identity), shifts f so that int e^f dV equals the
-    volume, and returns the tuple of int V(f) dV over ``fields``.  The
-    shift drops out of the pairing but is kept so the potential convention
-    is canonical.
+    The backend's ``futaki_pairing`` pairs S - S_bar with each field by
+    its own formula; only the torus one needs a potential f with
+    lap_g f = S - S_bar, and it raises SolverFailure if f is uncertified.
     """
-    ops = geometry.backend_module(state.backend)
-    base = geometry.base_field(state)
     s = geometry.scalar_curvature(state).values
-    sbar = geometry.average_scalar(state)
-    f, resid = ops.poisson_solve(base, s - sbar)
-    scale = max(1.0, float(np.max(np.abs(s - sbar))))
-    if resid > FUTAKI_TOL * scale:
-        raise SolverFailure(
-            f"scalar potential solve residual {resid:.3e} exceeds "
-            f"{FUTAKI_TOL:.1e}"
-        )
-    vol = geometry.volume(state)
-    f = f + np.log(vol / geometry.grid_integral(state, np.exp(f)))
-    return ops.futaki_pairing(base, f, [v.coefficients for v in fields])
+    dev = s - geometry.average_scalar(state)
+    return geometry.backend_module(state.backend).futaki_pairing(
+        geometry.base_field(state), dev, [v.coefficients for v in fields])
 
 
 def evolution_residual(s_prev, s_next, dt):
@@ -134,9 +120,9 @@ def sample(state, prev=None, dt=None, reference=None):
     ``prev``/``dt`` fill the cross-step evolution residual; ``reference``
     fills the automorphism gap.  The futaki field stores the largest
     magnitude of the pairing over the backend's basis fields; it is left
-    empty when the scalar-potential solve cannot certify its tolerance at
-    the state's resolution (the field is optional, and a rough transient
-    must not abort a recording run).
+    empty when the torus scalar-potential solve cannot certify its
+    tolerance at the state's resolution (the field is optional, and a
+    rough transient must not abort a recording run).
     """
     sup_s, sup_hess, sup_rm = geometry.curvature_norms(state)
     sup_grad, sup_bihess = geometry.scalar_probes(state)

@@ -246,7 +246,8 @@ def run(cfg, state0, checkpoint_dir=None, on_accept=None, engine=None):
         try:
             res = step(state, dt_eff, energy_tol=cfg.energy_tol)
             rejection = None if res.accepted else (
-                "error", "energy increase persisted at the minimum step")
+                "error", f"energy change {res.energy_delta:.3e} exceeds "
+                f"energy_tol {cfg.energy_tol:.3e} at the minimum step")
         except NonKahler as exc:
             rejection = ("left_cone",
                          f"positivity lost at minimum step: {exc}")

@@ -200,50 +200,6 @@ def extremality_residual(p, s):
     return float(np.sqrt(integral(p, d * d)))
 
 
-def antiderivative(vals):
-    """Exact antiderivative of the interpolating polynomial, zero at -1."""
-    m = vals.size
-    desc = vals[::-1]
-    ext = np.concatenate([desc, desc[-2:0:-1]])
-    coeffs = np.fft.rfft(ext).real / (m - 1)
-    coeffs[0] *= 0.5
-    coeffs[-1] *= 0.5
-    anti = np.polynomial.chebyshev.chebint(coeffs, lbnd=-1.0)
-    return np.polynomial.chebyshev.chebval(ops(m).x, anti)
-
-
-def poisson_solve(p, rhs):
-    """Solve lap_g f = rhs for the quadrature-mean-zero potential f.
-
-    The equation (w f')' = data integrates once to w f' = R with R the
-    exact antiderivative of the quadrature-projected data (R vanishes at
-    both endpoints: at -1 by construction, at +1 because the projection
-    zeroes the quadrature integral, which equals the antiderivative's
-    endpoint value).  The quotient R / w is regular: both factors vanish
-    linearly at the boundary, and the endpoint limits are data / w' with
-    w'(+-1) = -+ 2 rho(+-1).  Integrating once more and removing the
-    quadrature mean gives f.  Every operation here is spectral
-    integration or a pointwise quotient, so the certified residual
-    sup |w f' - R| sits near rounding rather than at the conditioning
-    floor a second-order collocation solve would have.  Returns
-    (f, residual_sup); callers convert a bad residual into SolverFailure.
-    """
-    m = p.shape[0]
-    o = ops(m)
-    w = _inverse_u2(p)
-    data = rhs - (o.weights @ rhs) / volume(p)
-    big = antiderivative(data)
-    rho = 1.0 / p
-    fp = np.empty(m)
-    fp[1:-1] = big[1:-1] / w[1:-1]
-    fp[0] = data[0] / (2.0 * rho[0])
-    fp[-1] = -data[-1] / (2.0 * rho[-1])
-    f = antiderivative(fp)
-    f = f - (o.weights @ f) / volume(p)
-    resid = float(np.max(np.abs(w * (o.d1 @ f) - big)))
-    return f, resid
-
-
 def strip_affine(v):
     """Remove the affine part (gauge): endpoint values pinned to zero."""
     o = ops(v.shape[0])
@@ -272,9 +228,14 @@ def sobolev_gap(v_a, v_b):
     return float(np.sqrt(best))
 
 
-def futaki_pairing(p, f, rows):
-    """Zeros: the circle generator annihilates invariant potentials."""
-    return tuple(0.0 * c for (c,) in rows)
+def futaki_pairing(p, dev, rows):
+    """c int x (S - S_bar) dx for each multiple c of the circle generator.
+
+    ``dev`` is S - S_bar.  The generator's Hamiltonian is the moment
+    coordinate x, so the pairing is exact quadrature and needs no solve.
+    """
+    hamiltonian = integral(p, ops(p.shape[0]).x * dev)
+    return tuple(c * hamiltonian for (c,) in rows)
 
 
 def _seeded_potential(m, seed, amplitude, top, decay):

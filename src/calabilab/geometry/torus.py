@@ -28,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from ..errors import BadParams
+from ..errors import BadParams, SolverFailure
 
 FLOW_SIGN = 1.0  # the flow moves phi by S - S_bar itself
 FIELD_DIM = 2  # holomorphic fields: the constant translations
@@ -36,6 +36,7 @@ BASE_NAME = "torus conformal density"  # what the positivity check reads
 ZERO_PRESET = "flat"  # the preset whose potential vanishes
 
 _GAUGE_TOL = 1e-9
+FUTAKI_TOL = 1e-10  # certified residual of the Futaki Poisson solve
 
 _CACHE = {}
 
@@ -233,8 +234,17 @@ def _weighted_power(wgt, spec, n):
     return float(np.sum(wgt * dup[None, :] * np.abs(spec) ** 2)) / (n * n) ** 2
 
 
-def futaki_pairing(h, f, rows):
-    """int V(f) dV for each constant field V = a d/dx + b d/dy in rows."""
+def futaki_pairing(h, dev, rows):
+    """int V(f) dV for each constant field V = a d/dx + b d/dy in rows,
+    where lap_g f = dev = S - S_bar; SolverFailure unless the solve's
+    residual is within FUTAKI_TOL * max(1, sup |dev|).
+    """
+    f, resid = poisson_solve(h, dev)
+    if resid > FUTAKI_TOL * max(1.0, float(np.max(np.abs(dev)))):
+        raise SolverFailure(
+            f"scalar potential solve residual {resid:.3e} exceeds "
+            f"{FUTAKI_TOL:.1e}"
+        )
     fx, fy = grad0(f)
     return tuple(integral(h, a * fx + b * fy) for a, b in rows)
 

@@ -25,8 +25,8 @@ def build_initial(backend, resolution, spec):
     """Construct the initial state named by a manifest's ``initial`` block.
 
     ``spec`` keys: ``preset`` (flat | round | random | rough), ``seed``,
-    ``amplitude``, optional ``kmax``, and ``allow_overamplitude`` to relax
-    the cone-margin validation.
+    ``amplitude``, optional ``kmax`` (``random`` only), and
+    ``allow_overamplitude`` to relax the cone-margin validation.
     """
     spec = dict(spec)
     preset = spec.pop("preset", None)
@@ -57,6 +57,8 @@ def build_initial(backend, resolution, spec):
             f"amplitude must be a finite number > 0, not {amplitude!r}")
     if kmax is not None and not (_is_int(kmax) and kmax >= 1):
         raise BadParams(f"kmax must be an integer >= 1, not {kmax!r}")
+    if kmax is not None and preset == "rough":
+        raise BadParams("kmax is a random-preset band limit; rough takes none")
     if not isinstance(override, bool):
         raise BadParams("allow_overamplitude must be true or false")
     if amplitude >= AMPLITUDE_LIMIT and not override:

@@ -14,9 +14,8 @@ INTERFACE = (
     "FLOW_SIGN", "FIELD_DIM", "ZERO_PRESET", "BASE_NAME", "check_resolution",
     "grid_shape", "check_gauge", "base_field", "scalar_curvature",
     "average_scalar", "volume", "laplacian", "grad_norm", "integral",
-    "scalar_evolution", "extremality_residual", "poisson_solve",
-    "sobolev_gap", "futaki_pairing", "random_potential",
-    "rough_potential",
+    "scalar_evolution", "extremality_residual", "sobolev_gap",
+    "futaki_pairing", "random_potential", "rough_potential",
 )
 
 ENGINE = {"dt": 0.125, "streak": 0, "next_sample_t": 0.5,

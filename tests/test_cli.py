@@ -193,6 +193,7 @@ class TestManifestValues:
         {"amplitude": "x"}, {"amplitude": math.nan}, {"amplitude": [0.3]},
         {"kmax": "x"}, {"kmax": 0}, {"kmax": 2.5},
         {"allow_overamplitude": "yes"}, {"allow_overamplitude": 1},
+        {"kmax": 2, "preset": "rough"},
     ])
     def test_initial_value_refused(self, tmp_path, capsys, initial):
         manifest = write_manifest(

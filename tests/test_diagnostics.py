@@ -154,20 +154,44 @@ class TestFutaki:
         with pytest.raises(ValueError):
             diagnostics.VectorFieldSpec("toric1d", (np.nan,))
 
-    def test_uncertifiable_solve_raises(self):
-        # Rough data at coarse interval resolution pushes the potential
-        # solve's spectral truncation above the certified tolerance.
+    def test_uncertifiable_solve_raises(self, monkeypatch):
+        # A torus potential solve whose residual is above the certified
+        # tolerance raises, and the sample record degrades instead of
+        # aborting.
         from calabilab.errors import SolverFailure
 
-        state = presets.build_initial(
-            "toric1d", 64,
-            {"preset": "random", "seed": 17, "amplitude": 0.45},
-        )
+        solve = torus.poisson_solve
+
+        def uncertified(h, rhs):
+            f, _ = solve(h, rhs)
+            return f, 2.0 * torus.FUTAKI_TOL * max(1.0, np.max(np.abs(rhs)))
+
+        monkeypatch.setattr(torus, "poisson_solve", uncertified)
+        state = torus_state()
         with pytest.raises(SolverFailure):
-            diagnostics.futaki(state, diagnostics.basis_fields("toric1d"))
-        # The sample record degrades instead of aborting.
+            diagnostics.futaki(state, diagnostics.basis_fields("torus"))
         rec = diagnostics.sample(state)
         assert rec.futaki is None
+
+    def test_toric_pairing_is_the_hamiltonian_moment(self):
+        # The circle generator's Hamiltonian is x, so S - S_bar = x pairs
+        # to c int x^2 dx = 2c/3.
+        p = geometry.base_field(geometry.round_state(128))
+        x = toric.ops(128).x
+        for c in (1.0, -2.5, 0.3):
+            (val,) = toric.futaki_pairing(p, x, [(c,)])
+            assert abs(val - 2.0 * c / 3.0) < 1e-14
+
+    @pytest.mark.parametrize("m", [128, 512])
+    def test_resolved_toric_states_vanish(self, m):
+        # int (S - S_bar) x dx is a class invariant, 0 on the interval.
+        fields = diagnostics.basis_fields("toric1d")
+        for seed in range(3):
+            state = presets.build_initial(
+                "toric1d", m,
+                {"preset": "random", "seed": seed, "amplitude": 0.45})
+            (val,) = diagnostics.futaki(state, fields)
+            assert abs(val) <= 1e-10
 
 
 class TestAutomorphismGap:

@@ -138,6 +138,36 @@ class TestRun:
             with pytest.raises(CorruptFile, match=key):
                 flow.resume(cfg, bad)
 
+    def test_toric_resume_after_another_resolution_matches(self, tmp_path):
+        # The held factorization is keyed on (M, dt): a toric run at
+        # another M replaces it, and the resumed M=64 run must refactor
+        # and reproduce the full run's columns and final state bit for
+        # bit.
+        cfg = flow.FlowConfig(
+            backend="toric1d", resolution=64, dt_init=1e-3, dt_min=1e-9,
+            dt_max=0.05, t_end=0.4, sample_interval=0.05,
+            checkpoint_interval=0.15,
+        )
+        full = flow.run(cfg, toric_state(seed=5), checkpoint_dir=str(tmp_path))
+        other = flow.FlowConfig(
+            backend="toric1d", resolution=128, dt_init=1e-3, dt_min=1e-9,
+            dt_max=0.05, t_end=0.01, sample_interval=0.01,
+        )
+        flow.run(other, toric_state(seed=6, m=128))
+        assert flow._toric_lu[0][0] == 128
+        ckpt = traceio.read_checkpoint(tmp_path / "checkpoint_0001.ckpt")
+        resumed = flow.resume(cfg, ckpt)
+        rows = full.trace.columns["t"] > ckpt.state.t
+        assert rows.sum() == len(resumed.trace.samples) > 0
+        for name, col in resumed.trace.columns.items():
+            assert np.array_equal(col.view(np.int64),
+                                  full.trace.columns[name][rows].view(
+                                      np.int64)), name
+        for name, mask in resumed.trace.absent.items():
+            assert np.array_equal(mask, full.trace.absent[name][rows])
+        assert (resumed.final_state.values.tobytes()
+                == full.final_state.values.tobytes())
+
     def test_fixed_point_runs_to_completion(self):
         cfg = flow.FlowConfig(
             backend="torus", resolution=16, dt_init=1e-2, dt_min=1e-8,
@@ -237,6 +267,23 @@ class TestRun:
         )
         result = flow.run(cfg, torus_state(n=16))
         assert result.trace.termination == "error"
+        assert "minimum step" in result.reason
+
+    def test_negative_tolerance_reason_names_the_measured_change(self):
+        # energy_tol -1 demands a decrease of at least 1 per step, so a
+        # falling energy is still rejected; the reason must report the
+        # change it measured, not claim an increase.
+        cfg = flow.FlowConfig(
+            backend="torus", resolution=16, dt_init=1e-3, dt_min=1e-4,
+            dt_max=1e-2, t_end=1.0, sample_interval=0.5, energy_tol=-1.0,
+        )
+        result = flow.run(cfg, torus_state(n=16))
+        delta = flow.step(result.final_state, cfg.dt_min).energy_delta
+        assert -1.0 < delta < 0
+        assert result.trace.termination == "error"
+        assert "increase" not in result.reason
+        assert f"energy change {delta:.3e}" in result.reason
+        assert "energy_tol -1.000e+00" in result.reason
         assert "minimum step" in result.reason
 
     def test_parallel_runs_match_sequential(self):

@@ -34,12 +34,6 @@ class TestChebyshevTables:
         assert abs(o.weights.sum() - 2.0) < 1e-14
         assert abs(o.weights @ o.x ** 4 - 2.0 / 5.0) < 1e-14
 
-    def test_antiderivative_exact_on_polynomials(self):
-        o = toric.ops(40)
-        f = o.x ** 3 - 2 * o.x
-        expected = o.x ** 4 / 4 - o.x ** 2 - (0.25 - 1.0)
-        assert np.max(np.abs(toric.antiderivative(f) - expected)) < 1e-13
-
 
 class TestRoundState:
     def test_scalar_curvature_exactly_two(self):
