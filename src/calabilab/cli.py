@@ -113,14 +113,23 @@ def cmd_run(args):
 
 
 def _write_series(path, pairs):
+    """One ``t y`` line per pair, each float in its ``repr``.  ``t`` is
+    written with ``str``, which for a float is its ``repr``, so a caller
+    may pass times it has already formatted."""
     def write(fh):
         for t, y in pairs:
-            fh.write(f"{t!r} {y!r}\n")
+            fh.write(f"{t} {y!r}\n")
 
     traceio._write_atomic(path, write)
 
 
 def cmd_analyze(args):
+    if args.eps0 is not None and not (math.isfinite(args.eps0)
+                                      and args.eps0 > 0):
+        raise BadParams(f"--eps0 must be finite and positive, not "
+                        f"{args.eps0!r}")
+    if args.t_sing is not None and not math.isfinite(args.t_sing):
+        raise BadParams(f"--t-sing must be finite, not {args.t_sing!r}")
     try:
         trace = traceio.read_trace(args.trace)
     except OSError as exc:
@@ -141,10 +150,12 @@ def cmd_analyze(args):
         "sup_curv": "sup_curv",
     }
     written = [report_path]
+    # The four series share the time column: format it once.
+    times = list(map(repr, trace.columns["t"].tolist()))
     for field, tag in series_fields.items():
-        t, y = trace.series(field)
+        _, y = trace.series(field)
         path = os.path.join(outdir, f"{stem}.{tag}.dat")
-        _write_series(path, zip(t.tolist(), y.tolist()))
+        _write_series(path, zip(times, y.tolist()))
         written.append(path)
     fpath = os.path.join(outdir, f"{stem}.curvature_scale.dat")
     _write_series(fpath, rep.f_values)

@@ -20,7 +20,6 @@ import os
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import diagnostics, geometry, traceio
 from .errors import CorruptFile, NonKahler, SchemaMismatch
@@ -121,6 +120,21 @@ def _torus_step(state, dt):
     out = (fh + dt * nh) / (1.0 + dt * k2 * k2)
     out[0, 0] = 0.0
     return np.fft.irfft2(out, s=phi.shape)
+
+
+def lu_factor(a):
+    """``scipy.linalg.lu_factor(a)``.  scipy is imported on the first toric
+    factorization: no other path needs it, and importing it takes most of
+    a CLI process's start-up."""
+    from scipy.linalg import lu_factor as factor
+    return factor(a)
+
+
+def lu_solve(lu_and_piv, b):
+    """``scipy.linalg.lu_solve(lu_and_piv, b)``, imported like
+    ``lu_factor``."""
+    from scipy.linalg import lu_solve as solve
+    return solve(lu_and_piv, b)
 
 
 # The factorization of W + dt K0 for the (M, dt) of the last toric step.

@@ -20,7 +20,8 @@ growth bound
 barrier check
     compares Q against 2 / sqrt(Q(t0)^-2 + (t - t0)) on the look-back
     window, exactly (the barrier is convex, so per-segment maxima of the
-    linear interpolant against it are closed-form).
+    linear interpolant against it are closed-form), for all evaluation
+    times at once.
 blowup rates
     running suprema of P*(T-t), O^a Q^(2-a) (T-t), Q sqrt(T-t) over the
     tail, a type-I boundedness flag for Q^2 (T-t), and the smallest grid
@@ -34,9 +35,10 @@ LATIN 2000), and a window integral from a cumulative-trapezoid prefix sum
 plus the two partial end cells.  After an O(n log n) set-up every query
 is O(1), and queries take whole arrays of windows, so the curvature scale
 bisects all its evaluation points at once and the growth bound integrates
-its whole time grid in one pass.  Maxima and interpolated values are the
-same doubles a direct scan gives; integrals agree with a direct trapezoid
-sum to rounding.
+its whole time grid in one pass.  The barrier check likewise lays the
+segments of all its look-back windows end to end and checks them in one
+array pass.  Maxima and interpolated values are the same doubles a direct
+scan gives; integrals agree with a direct trapezoid sum to rounding.
 """
 
 import itertools
@@ -491,81 +493,159 @@ class BarrierReport:
     margin: float
 
 
-def barrier_check(trace, t0):
-    """Check Q against the square-root barrier on its look-back window.
+# Look-back windows whose segments ``barrier_checks`` lays out together;
+# this bounds the memory a long trace's check takes at once.
+_WINDOW_BLOCK = 64
+
+
+def _barrier(c, t0, t):
+    """2 / sqrt(c + (t - t0)).  The window edge t0 - c is the barrier's
+    pole; at and before it (and for a nan argument) the barrier is inf,
+    since anything finite is below it there."""
+    arg = c + (t - t0)
+    above = arg > 0.0
+    return np.where(above, 2.0 / np.sqrt(np.where(above, arg, 1.0)),
+                    math.inf)
+
+
+def barrier_checks(trace, times):
+    """Check Q against the square-root barrier on the look-back window of
+    every t0 in ``times``.
 
     The window is [t0 - Q(t0)^-2, t0] and the barrier is
     B(t) = 2 / sqrt(Q(t0)^-2 + (t - t0)).  The scalar-bound hypothesis is
     checked after the internal normalization (Q(t0) -> 1), which turns it
-    into sup O <= Q(t0) over the window; when it fails the verdict is
-    ``inapplicable``.  Q - B is concave on each linear segment, so maxima
-    and first roots are exact.
+    into sup O <= Q(t0) over the window; when it fails, or Q(t0) is not
+    positive, the verdict is ``inapplicable``.  Q - B is concave on each
+    linear segment, so maxima and first roots are exact.
+
+    Returns one ``BarrierReport`` per time, or None where the look-back
+    window leaves the trace.  All windows are checked together: their
+    points (w0, the knots inside, t0) are laid end to end, a block of
+    windows at a time, every segment's critical point, barrier gap and
+    margin is computed at once, and one array bisection locates the first
+    violation in every window that reaches the barrier.  Each report has
+    the bits a check of its window alone gives.
     """
+    t0 = np.asarray(times, dtype=float)
+    if not t0.size:
+        return []
     q_curve = _curve(trace, "sup_curv")
     o_curve = _curve(trace, "sup_scalar")
-    if t0 < q_curve.t[0] - 1e-12 or t0 > q_curve.t[-1] + 1e-12:
-        raise DomainError(f"time {t0} outside the trace")
-    q0 = float(q_curve(t0))
-    if q0 <= 0.0:
-        return BarrierReport("inapplicable", t0, t0, None, math.inf)
-    c = 1.0 / (q0 * q0)
-    w0 = t0 - c
-    if w0 < float(q_curve.t[0]) - 1e-12:
-        raise DomainError("insufficient history for the look-back window")
-    w0 = max(w0, float(q_curve.t[0]))
-    if o_curve.window_max(w0, t0) > q0 * (1.0 + 1e-12):
-        return BarrierReport("inapplicable", t0, w0, None, math.inf)
+    start, end = float(q_curve.t[0]), float(q_curve.t[-1])
+    outside = (t0 < start - 1e-12) | (t0 > end + 1e-12)
+    if np.any(outside):
+        raise DomainError(f"time {t0[outside][0]} outside the trace")
+    q0 = q_curve(t0)
+    no_curv = q0 <= 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        c = 1.0 / (q0 * q0)
+    w0 = np.maximum(t0 - c, start)
+    # A time inside the 1e-12 tolerance before the trace has an empty
+    # window once w0 is clamped to the start.
+    leaves = ~no_curv & ((t0 - c < start - 1e-12)
+                         | (np.minimum(t0, end) < w0))
+    live = np.flatnonzero(~no_curv & ~leaves)
+    applies = np.zeros(t0.size, dtype=bool)
+    applies[live] = ~(o_curve.window_max(w0[live], t0[live])
+                      > q0[live] * (1.0 + 1e-12))
+    checked = np.flatnonzero(applies)
 
-    def barrier(t):
-        # The window edge t0 - Q(t0)^-2 is the barrier's pole; anything
-        # finite is below it there.
-        arg = c + (t - t0)
-        return 2.0 / math.sqrt(arg) if arg > 0 else math.inf
-
+    margin = np.full(t0.size, math.inf)
+    violated = np.zeros(t0.size, dtype=bool)
+    first = np.zeros(t0.size)
+    # Per window to bisect: its first hit segment's start, start value,
+    # slope and the end of the bracket.
+    bisect = np.zeros(t0.size, dtype=bool)
+    hit_seg = np.zeros((4, t0.size))
     knots = q_curve.t
     lo = np.searchsorted(knots, w0, side="right")
     hi = np.searchsorted(knots, t0, side="left")
-    pts = np.concatenate(([w0], knots[lo:hi], [t0]))
-    vals = q_curve(pts)
-    seg = np.diff(pts) > 1e-14 * max(1.0, abs(t0))
-    a, b = pts[:-1][seg], pts[1:][seg]
-    ya = vals[:-1][seg]
-    slope = (vals[1:][seg] - ya) / (b - a)
-    # Interior critical point of (linear - barrier) on falling segments,
-    # the barrier being convex.  Python's pow is the C library's; numpy's
-    # vectorized power can differ from it in the last bit.
-    t_star = np.full(a.shape, math.nan)
-    down = np.flatnonzero(slope < 0.0)
-    t_star[down] = t0 + (np.array(
-        [(-1.0 / sl) ** (2.0 / 3.0) for sl in slope[down].tolist()]) - c)
-    t_star[~((a < t_star) & (t_star < b))] = math.nan
-    cand = np.stack((a, b, t_star), axis=1)
-    arg = c + (cand - t0)
-    # A nan candidate, or the pole at the window edge, dominates nothing.
-    finite = arg > 0.0
-    wall = 2.0 / np.sqrt(np.where(finite, arg, 1.0))
-    gap = (ya[:, None] + slope[:, None] * (cand - a[:, None])) - wall
-    gap[~finite] = -math.inf
-    margin = float(np.min(-gap[finite])) if np.any(finite) else math.inf
-    first_violation = None
-    hits = np.flatnonzero(gap.max(axis=1) >= 0.0)
-    if hits.size:
-        i = hits[0]
-        a_i, ya_i, slope_i = float(a[i]), float(ya[i]), float(slope[i])
-        if ya_i - barrier(a_i) >= 0.0:
-            first_violation = a_i
+    for offset in range(0, checked.size, _WINDOW_BLOCK):
+        win = checked[offset:offset + _WINDOW_BLOCK]
+        size = np.maximum(hi[win] - lo[win], 0) + 2
+        stop = np.cumsum(size)
+        owner = np.repeat(np.arange(win.size), size)
+        pos = np.arange(stop[-1]) - (stop - size)[owner]
+        # Knot lo + pos - 1 is the window's pos-th point; its two ends
+        # are overwritten with w0 and t0.
+        pts = knots[np.minimum(lo[win][owner] + pos - 1, knots.size - 1)]
+        pts[stop - size] = w0[win]
+        pts[stop - 1] = t0[win]
+        vals = q_curve(pts)
+        j = np.flatnonzero(owner[:-1] == owner[1:])
+        k = win[owner[j]]
+        keep = pts[j + 1] - pts[j] > 1e-14 * np.maximum(1.0, np.abs(t0[k]))
+        j, k = j[keep], k[keep]
+        a, b, ya = pts[j], pts[j + 1], vals[j]
+        slope = (vals[j + 1] - ya) / (b - a)
+        ck, tk = c[k], t0[k]
+        # Interior critical point of (linear - barrier) on falling
+        # segments, the barrier being convex.  Python's pow is the C
+        # library's; numpy's vectorized power can differ from it in the
+        # last bit.
+        t_star = np.full(a.shape, math.nan)
+        down = np.flatnonzero(slope < 0.0)
+        t_star[down] = tk[down] + (np.array(
+            [(-1.0 / sl) ** (2.0 / 3.0) for sl in slope[down].tolist()])
+            - ck[down])
+        t_star[~((a < t_star) & (t_star < b))] = math.nan
+        # One row per candidate, one column per segment.
+        cand = np.stack((a, b, t_star))
+        arg = ck + (cand - tk)
+        # A nan candidate, or the pole at the window edge, dominates
+        # nothing.
+        finite = arg > 0.0
+        wall = 2.0 / np.sqrt(np.where(finite, arg, 1.0))
+        gap = (ya + slope * (cand - a)) - wall
+        gap[~finite] = -math.inf
+        # Segments run in window order, so each window's are contiguous.
+        wins, at = np.unique(k, return_index=True)
+        margin[wins] = np.minimum.reduceat(
+            np.where(finite, -gap, math.inf).min(axis=0), at)
+        hits = np.flatnonzero(gap.max(axis=0) >= 0.0)
+        wins, at = np.unique(k[hits], return_index=True)
+        i = hits[at]
+        violated[wins] = True
+        at_start = ya[i] - _barrier(ck[i], tk[i], a[i]) >= 0.0
+        first[wins[at_start]] = a[i[at_start]]
+        i, wins = i[~at_start], wins[~at_start]
+        bisect[wins] = True
+        hit_seg[:, wins] = (a[i], ya[i], slope[i],
+                            cand[np.argmax(gap[:, i], axis=0), i])
+    pending = np.flatnonzero(bisect)
+    a, ya, slope, hi_t = hit_seg[:, pending]
+    lo_t, ck, tk = a, c[pending], t0[pending]
+    for _ in range(80):
+        mid = 0.5 * (lo_t + hi_t)
+        below = (ya + slope * (mid - a)) - _barrier(ck, tk, mid) < 0.0
+        lo_t = np.where(below, mid, lo_t)
+        hi_t = np.where(below, hi_t, mid)
+    first[pending] = hi_t
+
+    reports = []
+    for t, w, no_q, left, ok, hit, fv, m in zip(
+            t0.tolist(), w0.tolist(), no_curv.tolist(), leaves.tolist(),
+            applies.tolist(), violated.tolist(), first.tolist(),
+            margin.tolist()):
+        if left:
+            reports.append(None)
+        elif no_q or not ok:
+            reports.append(BarrierReport("inapplicable", t, t if no_q else w,
+                                         None, math.inf))
         else:
-            lo_t, hi_t = a_i, float(cand[i, np.argmax(gap[i])])
-            for _ in range(80):
-                mid = 0.5 * (lo_t + hi_t)
-                val = (ya_i + slope_i * (mid - a_i)) - barrier(mid)
-                if val < 0.0:
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            first_violation = hi_t
-    verdict = "holds" if first_violation is None else "violated"
-    return BarrierReport(verdict, t0, w0, first_violation, margin)
+            reports.append(BarrierReport("violated" if hit else "holds", t,
+                                         w, fv if hit else None, m))
+    return reports
+
+
+def barrier_check(trace, t0):
+    """The barrier check at one time (see ``barrier_checks``); raises
+    DomainError where the look-back window leaves the trace."""
+    rep = barrier_checks(trace, [t0])[0]
+    if rep is None:
+        raise DomainError("insufficient history for the look-back window")
+    return rep
 
 
 @dataclass(frozen=True)
@@ -751,9 +831,11 @@ def analyze_trace(trace, alpha=0.5, eps0=None, t_sing=None):
 
     Pointwise quantities (curvature scale, barrier verdicts) are evaluated
     at sample times, deterministically strided down to ``MAX_POINTS`` on
-    very long traces.  The window algebra is O(1) per query, so the stride
-    only bounds the size of the report.  A trace with fewer than two
-    samples has no curve to evaluate, so those sections are empty.
+    very long traces.  Each is computed for all its times in one batch
+    (``curvature_scales``, ``barrier_checks``), so the stride only bounds
+    the size of the report.  Barrier windows that leave the trace are
+    left out.  A trace with fewer than two samples has no curve to
+    evaluate, so those sections are empty.
     """
     times = trace.columns["t"]
     stride = max(1, (len(trace) + MAX_POINTS - 1) // MAX_POINTS)
@@ -770,13 +852,8 @@ def analyze_trace(trace, alpha=0.5, eps0=None, t_sing=None):
     except DomainError:
         growth = GrowthBound(anchor=math.nan, eps0_max=math.inf,
                              eps0=eps0, holds=None)
-    barrier = []
-    for t0 in eval_times.tolist():
-        try:
-            rep = barrier_check(trace, t0)
-        except DomainError:
-            continue
-        barrier.append(rep)
+    barrier = [rep for rep in barrier_checks(trace, eval_times)
+               if rep is not None]
     rates = None
     if t_sing is None:
         t_sing = trace.t_end

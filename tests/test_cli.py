@@ -1,5 +1,6 @@
 """Command-line surface: run, analyze, sweep, error reporting."""
 
+import hashlib
 import json
 import math
 import os
@@ -29,6 +30,26 @@ def write_manifest(tmp_path, name="m.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(manifest))
     return str(path)
+
+
+def violating_trace():
+    """A seeded 700-sample sawtooth trace, so ``analyze`` strides it.  Three
+    growth plateaus collapse within a few samples (barrier violations and
+    a growth anchor); a stretch of sup |S| above Q and one of Q = 0 make
+    windows inapplicable.  Built with arithmetic only, so its bits do not
+    depend on a platform's exp or log."""
+    rng = np.random.default_rng(20261018)
+    t = 0.01 * np.arange(700)
+    q = 1.0 + 0.05 * rng.random(t.size)
+    for start, height in ((1.8, 4.0), (3.9, 6.0), (5.6, 3.0)):
+        ramp = np.clip((t - start) / 0.1, 0.0, 1.0)
+        fall = np.clip((t - start - 0.5) / 0.03, 0.0, 1.0)
+        q += height * ramp * (1.0 - fall)
+    o = 0.5 + 0.4 * rng.random(t.size)
+    o[(t > 6.2) & (t < 6.3)] = 3.0
+    q[(t > 6.75) & (t < 6.8)] = 0.0
+    return scale.synthetic_trace("sawtooth", times=t, q=q, p=0.5 * q * q,
+                                 o=o)
 
 
 def run_cli(args, capsys):
@@ -476,6 +497,81 @@ class TestAnalyze:
         assert report["curvature_scale"] == []
         assert math.isnan(report["growth"]["anchor"])
 
+    def test_report_and_series_bytes_are_pinned(self, tmp_path, capsys):
+        # sha256 of the files analyze wrote for this trace when the
+        # barrier check ran one window at a time.
+        pinned = {
+            "v.report.json": "6e088319083f19645900f06f0c099cfe"
+                             "ed872b2532f50ff973f00f120e7e24d8",
+            "v.ca.dat": "ff4c662672e9d43e3808e1ede0854a3b"
+                        "691fe040807afdb4e8245985243dcb1b",
+            "v.sup_scalar.dat": "bd99debbf04621f1f6a092eb4ac4c5fc"
+                                "b24cfd3eb4328a2551a5d76b85f719c9",
+            "v.sup_hess.dat": "526ca2e105cfd3370cd0e1fa8f4e85d1"
+                              "fed19848beba5e2ccacc3a949dee7f0d",
+            "v.sup_curv.dat": "d3d20d76f41be95649fe7762ad571b1f"
+                              "194b05562e69f5caf6817ee33afa8df8",
+            "v.curvature_scale.dat": "b41369e73a31bbdbe6b829674086b04b"
+                                     "a02767959d99799817ee6e5f537f38c9",
+        }
+        trace = violating_trace()
+        assert len(trace) > scale.MAX_POINTS
+        path = tmp_path / "v.trace"
+        traceio.write_trace(trace, path)
+        code, payload = run_cli(
+            ["analyze", str(path), "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        report = traceio.read_report(payload["report"])
+        assert {b["verdict"] for b in report["barrier"]} \
+            == {"holds", "violated", "inapplicable"}
+        digests = {}
+        for out in [payload["report"], *payload["series"]]:
+            with open(out, "rb") as fh:
+                digests[os.path.basename(out)] = \
+                    hashlib.sha256(fh.read()).hexdigest()
+        assert digests == pinned
+
+    def test_sample_whose_curvature_squared_underflows(self, tmp_path,
+                                                       capsys):
+        # Q(t0)^2 = 0 makes the look-back window infinite: it leaves the
+        # trace, so that time has no barrier report.
+        t = np.linspace(0.0, 4.0, 41)
+        q = np.ones_like(t)
+        q[30] = 1e-200
+        path = tmp_path / "u.trace"
+        traceio.write_trace(
+            scale.synthetic_trace("sawtooth", times=t, q=q), path)
+        code, payload = run_cli(
+            ["analyze", str(path), "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        report = traceio.read_report(payload["report"])
+        assert 3.0 not in [b["t0"] for b in report["barrier"]]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--eps0", "0"), ("--eps0", "-1"), ("--eps0", "nan"),
+        ("--eps0", "inf"), ("--t-sing", "nan"), ("--t-sing", "inf"),
+    ])
+    def test_non_finite_or_non_positive_option_refused(
+            self, tmp_path, capsys, option, value):
+        path = tmp_path / "v.trace"
+        traceio.write_trace(violating_trace(), path)
+        out = tmp_path / "out"
+        code, payload = one_line_error(
+            ["analyze", str(path), option, value, "--outdir", str(out)],
+            capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert option in payload["message"]
+        assert not out.exists()
+
+    def test_option_refused_before_the_trace_is_read(self, tmp_path,
+                                                     capsys):
+        code, payload = one_line_error(
+            ["analyze", str(tmp_path / "nowhere.trace"), "--eps0", "0"],
+            capsys)
+        assert code == 1
+        assert "--eps0" in payload["message"]
+
     def test_unreadable_trace_reports_error_class(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("garbage\n")
@@ -547,6 +643,33 @@ def test_cross_process_determinism(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
         blobs.append((out / "run.trace").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_scipy_is_imported_by_the_first_toric_factorization(tmp_path):
+    # scipy.linalg serves only the toric solve; importing it takes most
+    # of a CLI process's start-up, so torus runs and analyze never load it.
+    script = """
+import sys
+from calabilab import cli, flow, presets, scale, traceio
+trace = sys.argv[1] + "/a.trace"
+traceio.write_trace(scale.synthetic_trace("typeI", t_sing=6.0, t1=5.9), trace)
+assert cli.main(["analyze", trace, "--outdir", sys.argv[1]]) == 0
+assert cli.main(["run", sys.argv[2], "--outdir", sys.argv[1]]) == 0
+assert "scipy.linalg" not in sys.modules
+state = presets.build_initial("toric1d", 32, {"preset": "round"})
+flow.step(state, 1e-3)
+assert "scipy.linalg" in sys.modules
+"""
+    manifest = write_manifest(
+        tmp_path, initial={"preset": "random", "seed": 9, "amplitude": 0.2})
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), manifest],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_verify_command_reports_per_criterion(capsys):

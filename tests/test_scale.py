@@ -438,6 +438,126 @@ class TestGrowthBound:
             scale.growth_bound_check(tr)
 
 
+def scalar_barrier_check(trace, t0):
+    """Oracle: the one-window barrier check the batch replaced, kept
+    verbatim except that a window leaving the trace gives None, as does a
+    Q(t0) whose square underflows to 0 (an infinite look-back)."""
+    q_curve = scale.PiecewiseLinear(*trace.series("sup_curv"))
+    o_curve = scale.PiecewiseLinear(*trace.series("sup_scalar"))
+    if t0 < q_curve.t[0] - 1e-12 or t0 > q_curve.t[-1] + 1e-12:
+        raise DomainError(f"time {t0} outside the trace")
+    q0 = float(q_curve(t0))
+    if q0 <= 0.0:
+        return scale.BarrierReport("inapplicable", t0, t0, None, math.inf)
+    if q0 * q0 == 0.0:
+        return None
+    c = 1.0 / (q0 * q0)
+    w0 = t0 - c
+    if w0 < float(q_curve.t[0]) - 1e-12:
+        return None
+    w0 = max(w0, float(q_curve.t[0]))
+    try:
+        o_max = o_curve.window_max(w0, t0)
+    except DomainError:  # t0 just before the trace: an empty window
+        return None
+    if o_max > q0 * (1.0 + 1e-12):
+        return scale.BarrierReport("inapplicable", t0, w0, None, math.inf)
+
+    def barrier(t):
+        arg = c + (t - t0)
+        return 2.0 / math.sqrt(arg) if arg > 0 else math.inf
+
+    knots = q_curve.t
+    lo = np.searchsorted(knots, w0, side="right")
+    hi = np.searchsorted(knots, t0, side="left")
+    pts = np.concatenate(([w0], knots[lo:hi], [t0]))
+    vals = q_curve(pts)
+    seg = np.diff(pts) > 1e-14 * max(1.0, abs(t0))
+    a, b = pts[:-1][seg], pts[1:][seg]
+    ya = vals[:-1][seg]
+    slope = (vals[1:][seg] - ya) / (b - a)
+    t_star = np.full(a.shape, math.nan)
+    down = np.flatnonzero(slope < 0.0)
+    t_star[down] = t0 + (np.array(
+        [(-1.0 / sl) ** (2.0 / 3.0) for sl in slope[down].tolist()]) - c)
+    t_star[~((a < t_star) & (t_star < b))] = math.nan
+    cand = np.stack((a, b, t_star), axis=1)
+    arg = c + (cand - t0)
+    finite = arg > 0.0
+    wall = 2.0 / np.sqrt(np.where(finite, arg, 1.0))
+    gap = (ya[:, None] + slope[:, None] * (cand - a[:, None])) - wall
+    gap[~finite] = -math.inf
+    margin = float(np.min(-gap[finite])) if np.any(finite) else math.inf
+    first_violation = None
+    hits = np.flatnonzero(gap.max(axis=1) >= 0.0)
+    if hits.size:
+        i = hits[0]
+        a_i, ya_i, slope_i = float(a[i]), float(ya[i]), float(slope[i])
+        if ya_i - barrier(a_i) >= 0.0:
+            first_violation = a_i
+        else:
+            lo_t, hi_t = a_i, float(cand[i, np.argmax(gap[i])])
+            for _ in range(80):
+                mid = 0.5 * (lo_t + hi_t)
+                val = (ya_i + slope_i * (mid - a_i)) - barrier(mid)
+                if val < 0.0:
+                    lo_t = mid
+                else:
+                    hi_t = mid
+            first_violation = hi_t
+    verdict = "holds" if first_violation is None else "violated"
+    return scale.BarrierReport(verdict, t0, w0, first_violation, margin)
+
+
+def report_bits(rep):
+    """A barrier report with every float as its exact bits."""
+    if rep is None:
+        return None
+    return tuple(x.hex() if isinstance(x, float) else x
+                 for x in dataclasses.astuple(rep))
+
+
+@st.composite
+def barrier_cases(draw):
+    """A sawtooth trace and evaluation times that reach every branch of
+    the barrier check: Q(t0) = 0, Q(t0)^2 that underflows, sup O > Q(t0),
+    windows that leave the trace, window ends within 1e-14 of a knot,
+    repeated times."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1,
+                         max_size=n - 1))
+    t = float(draw(st.sampled_from([0.0, 3.0, 250.0]))) + np.concatenate(
+        ([0.0], np.cumsum(gaps)))
+    level = st.one_of(st.just(0.0), st.just(1e-170), st.just(1e7),
+                      st.floats(0.05, 8.0))
+    q = np.asarray(draw(st.lists(level, min_size=n, max_size=n)))
+    o = draw(st.sampled_from([0.0, 1.0, 9.0])) * np.asarray(draw(
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        o = q * (1.0 + 5e-13)  # sup O = Q(t0) up to the 1e-12 slack
+    # A knot whose window starts on an earlier knot, up to rounding.
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                max_size=2, unique=True)))
+    q[j] = 1.0 / math.sqrt(t[j] - t[i])
+    tr = sawtooth(t, q, o=o)
+    times = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["knot", "any", "after-knot", "edge"]))
+        k = draw(st.integers(0, n - 1))
+        if kind == "knot":
+            times.append(float(t[k]))
+        elif kind == "any":
+            times.append(draw(st.floats(float(t[0]), float(t[-1]))))
+        elif kind == "after-knot":
+            times.append(min(float(t[k]) + 1e-15 * max(1.0, t[k]),
+                             float(t[-1])))
+        else:
+            times.append(draw(st.sampled_from(
+                [float(t[0]) - 5e-13, float(t[0]), float(t[-1])])))
+    times += [times[0]] * draw(st.integers(0, 2)) if times else []
+    return tr, times + [float(t[j])]
+
+
 class TestBarrier:
     def test_constant_curve_holds(self):
         tr = scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=10.0)
@@ -485,6 +605,52 @@ class TestBarrier:
         tr = scale.synthetic_trace("constant", value=0.1, t0=0.0, t1=5.0)
         with pytest.raises(DomainError):
             scale.barrier_check(tr, 1.0)  # needs 100 units of look-back
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(barrier_cases())
+    def test_batch_equals_scalar_check_bit_for_bit(self, case):
+        tr, times = case
+        want = [report_bits(scalar_barrier_check(tr, t0)) for t0 in times]
+        got = scale.barrier_checks(tr, times)
+        assert [report_bits(rep) for rep in got] == want
+        for t0, rep in zip(times, got):
+            if rep is None:
+                with pytest.raises(DomainError):
+                    scale.barrier_check(tr, t0)
+            else:
+                assert report_bits(scale.barrier_check(tr, t0)) \
+                    == report_bits(rep)
+
+    def test_batch_on_the_synthetic_kinds_at_every_sample(self):
+        # The last trace's falling segment [4.02, 4.95] enters and leaves
+        # the barrier of t0 = 5, so its first violation is bracketed by
+        # the segment's interior critical point, not by its end.
+        traces = [
+            scale.synthetic_trace("typeI", t_sing=6.0, t1=5.9, n=121),
+            scale.synthetic_trace("typeII", t_sing=6.0, t1=5.9, n=121),
+            scale.synthetic_trace("oscillatory", t1=12.0, n=241, amp=0.6,
+                                  base=0.9),
+            scale.synthetic_trace("constant", value=1.5, t1=6.0, n=121),
+        ] + [tr for _, tr in _synthetic_corpus(n_traces=10)] + [
+            sawtooth([0.0, 4.0, 4.02, 4.95, 5.0], [1.0, 1.0, 10.0, 0.5, 1.0]),
+        ]
+        verdicts = set()
+        for tr in traces:
+            times = tr.columns["t"].tolist()
+            want = [report_bits(scalar_barrier_check(tr, t0))
+                    for t0 in times]
+            assert [report_bits(rep)
+                    for rep in scale.barrier_checks(tr, times)] == want
+            verdicts.update(rep[0] for rep in want if rep is not None)
+        assert verdicts == {"holds", "violated"}
+        assert 4.02 < scale.barrier_check(traces[-1], 5.0).first_violation \
+            < 4.3
+
+    def test_no_times_give_no_reports(self):
+        tr = scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=5.0)
+        assert scale.barrier_checks(tr, []) == []
+        lone = scale.Trace(tr.samples[:1], 0.0, 0.0, "completed", {})
+        assert scale.barrier_checks(lone, np.empty(0)) == []
 
 
 class TestBlowupRates:
