@@ -7,7 +7,7 @@ with the regularity-scale calculus: curvature scale, doubling
 statistics, growth bounds, barrier checks and blow-up rates.
 """
 
-from .diagnostics import DiagnosticsSample, VectorFieldSpec
+from .diagnostics import DiagnosticsSample
 from .errors import (
     BadParams,
     CalabiLabError,
@@ -35,7 +35,7 @@ __all__ = [
     "BadParams", "CalabiLabError", "CorruptFile", "DiagnosticsSample",
     "DomainError", "FlowConfig", "MetricState", "NonKahler", "RunResult",
     "ScalarField", "SchemaMismatch", "SolverFailure", "StepResult", "Trace",
-    "VectorFieldSpec", "VersionMismatch", "curvature_scale", "flat_state",
-    "rescale_trace", "round_state", "run", "step", "synthetic_trace",
-    "toric_state", "torus_state",
+    "VersionMismatch", "curvature_scale", "flat_state", "rescale_trace",
+    "round_state", "run", "step", "synthetic_trace", "toric_state",
+    "torus_state",
 ]

@@ -48,7 +48,10 @@ def _load_manifest(path):
         cfg = flow.FlowConfig(**cfg_spec)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"bad config: {exc}") from exc
-    return cfg, manifest["initial"], manifest.get("outdir")
+    outdir = manifest.get("outdir")
+    if outdir is not None and not isinstance(outdir, str):
+        raise BadParams(f"outdir must be a string, not {outdir!r}")
+    return cfg, manifest["initial"], outdir
 
 
 def _resolve_outdir(cli_outdir, manifest_outdir):
@@ -130,6 +133,8 @@ def cmd_analyze(args):
                         f"{args.eps0!r}")
     if args.t_sing is not None and not math.isfinite(args.t_sing):
         raise BadParams(f"--t-sing must be finite, not {args.t_sing!r}")
+    if not 0.0 < args.alpha < 1.0:
+        raise BadParams(f"--alpha must lie in (0, 1), not {args.alpha!r}")
     try:
         trace = traceio.read_trace(args.trace)
     except OSError as exc:

@@ -41,42 +41,29 @@ OPTIONAL_FIELDS = tuple(f.name for f in fields(DiagnosticsSample)
                         if f.default is None)
 
 
-@dataclass(frozen=True)
-class VectorFieldSpec:
-    """Coefficients against the backend's fixed holomorphic field basis.
+def basis_fields(backend):
+    """The coefficient rows of the backend's fixed holomorphic field basis.
 
     Torus: two real constants (the translation fields).  Toric: one real
     constant scaling the circle-action generator, which acts trivially on
     invariant functions.
     """
-
-    backend: str
-    coefficients: tuple
-
-    def __post_init__(self):
-        want = geometry.backend_module(self.backend).FIELD_DIM
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if len(coeffs) != want or not all(np.isfinite(coeffs)):
-            raise ValueError("bad vector field coefficients")
-        object.__setattr__(self, "coefficients", coeffs)
+    return np.eye(geometry.backend_module(backend).FIELD_DIM)
 
 
-def basis_fields(backend):
-    dim = geometry.backend_module(backend).FIELD_DIM
-    return tuple(VectorFieldSpec(backend, row) for row in np.eye(dim))
-
-
-def futaki(state, fields):
-    """Futaki pairings of the class with holomorphic fields, one per field.
+def futaki(state, rows):
+    """Futaki pairings of the class with holomorphic fields, one per row
+    of coefficients against the backend's basis (see ``basis_fields``).
 
     The backend's ``futaki_pairing`` pairs S - S_bar with each field by
     its own formula; only the torus one needs a potential f with
     lap_g f = S - S_bar, and it raises SolverFailure if f is uncertified.
+    A row of the wrong length raises ValueError.
     """
     s = geometry.scalar_curvature(state).values
     dev = s - geometry.average_scalar(state)
     return geometry.backend_module(state.backend).futaki_pairing(
-        geometry.base_field(state), dev, [v.coefficients for v in fields])
+        geometry.base_field(state), dev, rows)
 
 
 def evolution_residual(s_prev, s_next, dt):

@@ -28,6 +28,8 @@ def build_initial(backend, resolution, spec):
     ``amplitude``, optional ``kmax`` (``random`` only), and
     ``allow_overamplitude`` to relax the cone-margin validation.
     """
+    if not isinstance(spec, dict):
+        raise BadParams(f"initial must be a JSON object, not {spec!r}")
     spec = dict(spec)
     preset = spec.pop("preset", None)
     if preset not in PRESETS:

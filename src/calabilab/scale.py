@@ -298,30 +298,6 @@ class PiecewiseLinear:
                + 0.5 * (y_last + yb) * (b - last))
         return out if out.ndim else float(out)
 
-    def first_crossing(self, level, after):
-        """Earliest t >= after with value == level, or None.
-
-        First-crossing tie-break: an exact knot hit counts, and within a
-        segment the earlier linear crossing wins.
-        """
-        if after > self.t[-1]:
-            return None
-        start = float(self(after))
-        if start == level:
-            return after
-        idx = np.searchsorted(self.t, after, side="right")
-        prev_t, prev_y = after, start
-        for j in range(idx, self.t.size):
-            tj, yj = float(self.t[j]), float(self.y[j])
-            if (prev_y - level) * (yj - level) <= 0.0 and prev_y != yj:
-                frac = (level - prev_y) / (yj - prev_y)
-                if 0.0 <= frac <= 1.0:
-                    return prev_t + frac * (tj - prev_t)
-            if yj == level:
-                return tj
-            prev_t, prev_y = tj, yj
-        return None
-
 
 def _curve(trace, name):
     """The trace's curve of one sample field, built once per trace."""
@@ -393,40 +369,46 @@ def doubling_stats(trace):
     """Doubling segments of sup |Rm| and the exact integral of the Hessian
     envelope over each.
 
-    Within every maximal region of positive Q, thresholds 2^i * Q(region
-    start) are located by first crossing; consecutive crossing times bound
-    one doubling each.  Convergent traces produce the empty list.
+    Q splits into maximal runs of positive, finite samples; a zero,
+    negative or non-finite sample ends a run.  In each run of two or more
+    samples, consecutive first crossings of the levels 2^i * Q(run start)
+    bound one doubling each.  Level L is first reached in the cell ending
+    at the first knot where the running maximum of Q reaches L; the
+    crossing is linear in that cell, from the previous crossing if that
+    lies in the same cell.  Convergent traces produce the empty list.
     """
-    tq, q = trace.series("sup_curv")
-    segments = []
-    n = len(tq)
-    if n < 2:
-        return segments
-    p_curve = _curve(trace, "sup_hess_scalar")
-    i = 0
-    while i < n:
-        if q[i] <= 0.0:
-            i += 1
+    t, q = trace.series("sup_curv")
+    if t.size < 2:
+        return []
+    good = np.concatenate(([False], np.isfinite(q) & (q > 0.0), [False]))
+    starts, ends = [], []
+    # Each run is q[lo:hi].
+    for lo, hi in np.flatnonzero(np.diff(good)).reshape(-1, 2).tolist():
+        if hi - lo < 2:
             continue
-        j = i
-        while j + 1 < n and q[j + 1] > 0.0:
-            j += 1
-        if j > i:
-            region = PiecewiseLinear(tq[i:j + 1], q[i:j + 1])
-            ref = float(q[i])
-            cursor = float(tq[i])
-            level = 2.0 * ref
-            while True:
-                hit = region.first_crossing(level, cursor)
-                if hit is None:
-                    break
-                segments.append(
-                    DoublingSegment(cursor, hit, p_curve.integral(cursor, hit))
-                )
-                cursor = hit
-                level *= 2.0
-        i = j + 1
-    return segments
+        tr, qr = t[lo:hi], q[lo:hi]
+        peak = np.maximum.accumulate(qr)
+        # 2^i Q(run start) <= max Q needs i <= their exponent gap.
+        top = np.frexp(peak[-1])[1] - np.frexp(qr[0])[1]
+        levels = np.ldexp(qr[0], np.arange(1, top + 1))
+        cells = np.searchsorted(peak, levels)
+        found = cells < qr.size
+        hit, prev = float(tr[0]), 0
+        for level, k in zip(levels[found].tolist(), cells[found].tolist()):
+            if k == prev:
+                t0, y0 = hit, float(np.interp(hit, tr, qr))
+            else:
+                t0, y0 = float(tr[k - 1]), float(qr[k - 1])
+            starts.append(hit)
+            # Rounding can leave the previous crossing at or above L.
+            if y0 < level:
+                hit = t0 + (level - y0) / (float(qr[k]) - y0) * (
+                    float(tr[k]) - t0)
+            ends.append(hit)
+            prev = k
+    p = _curve(trace, "sup_hess_scalar").integral(np.array(starts),
+                                                   np.array(ends))
+    return [DoublingSegment(*seg) for seg in zip(starts, ends, p.tolist())]
 
 
 @dataclass(frozen=True)

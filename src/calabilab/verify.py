@@ -9,10 +9,11 @@ Futaki pairing, and bit-exact determinism with checkpoint resume.  Suites:
 ``identities`` (1, 4, 5, 12), ``oracles`` (6, 7, 8, 9, 10),
 ``convergence`` (2, 3, 11).
 
-The same functions back ``calabilab verify`` and tests/test_acceptance.py;
-pass a shared dict as ``cache`` to reuse the expensive corpus runs.
+The same functions back ``calabilab verify`` and tests/test_acceptance.py.
+The expensive corpus runs are computed once per process and shared.
 """
 
+import functools
 import math
 import os
 import tempfile
@@ -32,50 +33,39 @@ class CriterionResult:
     detail: str
 
 
-def _cached(cache, key, build):
-    if cache is None:
-        return build()
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
 # ---------------------------------------------------------------- corpus
 
 
-def torus_convergence_run(cache=None):
-    def build():
-        state0 = presets.build_initial(
-            TORUS, 64, {"preset": "random", "seed": 11, "amplitude": 0.05}
-        )
-        ca0 = geometry.calabi_energy(state0)
-        cfg = flow.FlowConfig(
-            backend=TORUS, resolution=64, dt_init=2e-3, dt_min=1e-8,
-            dt_max=0.5, t_end=80.0, sample_interval=0.25,
-            stop_energy=1e-10 * ca0,
-        )
-        return cfg, state0, ca0, flow.run(cfg, state0)
-
-    return _cached(cache, "torus_convergence", build)
+@functools.cache
+def torus_convergence_run():
+    state0 = presets.build_initial(
+        TORUS, 64, {"preset": "random", "seed": 11, "amplitude": 0.05}
+    )
+    ca0 = geometry.calabi_energy(state0)
+    cfg = flow.FlowConfig(
+        backend=TORUS, resolution=64, dt_init=2e-3, dt_min=1e-8,
+        dt_max=0.5, t_end=80.0, sample_interval=0.25,
+        stop_energy=1e-10 * ca0,
+    )
+    return cfg, state0, ca0, flow.run(cfg, state0)
 
 
-def toric_convergence_run(cache=None):
-    def build():
-        state0 = presets.build_initial(
-            TORIC, 128, {"preset": "random", "seed": 5, "amplitude": 0.2}
-        )
-        ca0 = geometry.calabi_energy(state0)
-        cfg = flow.FlowConfig(
-            backend=TORIC, resolution=128, dt_init=1e-3, dt_min=1e-9,
-            dt_max=0.25, t_end=40.0, sample_interval=0.5,
-            stop_energy=1e-16,
-        )
-        return cfg, state0, ca0, flow.run(cfg, state0)
-
-    return _cached(cache, "toric_convergence", build)
+@functools.cache
+def toric_convergence_run():
+    state0 = presets.build_initial(
+        TORIC, 128, {"preset": "random", "seed": 5, "amplitude": 0.2}
+    )
+    ca0 = geometry.calabi_energy(state0)
+    cfg = flow.FlowConfig(
+        backend=TORIC, resolution=128, dt_init=1e-3, dt_min=1e-9,
+        dt_max=0.25, t_end=40.0, sample_interval=0.5,
+        stop_energy=1e-16,
+    )
+    return cfg, state0, ca0, flow.run(cfg, state0)
 
 
-def growth_corpus_runs(cache=None):
+@functools.cache
+def growth_corpus_runs():
     """Interval-backend desk runs for the growth-bound calibration.
 
     The interval reduction pins the average scalar curvature, so
@@ -83,34 +73,30 @@ def growth_corpus_runs(cache=None):
     becomes admissible once the trace spans past the transient; torus
     traces, whose curvature decays to zero, never anchor (the smoothing
     the growth bound quantifies is exactly what removes the window).
+    A tuple, so no caller can change the cached corpus.
     """
-
-    def build():
-        runs = []
-        for seed, amp in ((4, 0.3), (9, 0.45)):
-            state0 = presets.build_initial(
-                TORIC, 64, {"preset": "random", "seed": seed,
-                            "amplitude": amp}
-            )
-            cfg = flow.FlowConfig(
-                backend=TORIC, resolution=64, dt_init=1e-3, dt_min=1e-9,
-                dt_max=0.05, t_end=4.0, sample_interval=0.05,
-            )
-            runs.append(flow.run(cfg, state0))
-        cfg = flow.FlowConfig(
-            backend=TORIC, resolution=64, dt_init=1e-2, dt_min=1e-9,
-            dt_max=0.25, t_end=3.0, sample_interval=0.25,
+    runs = []
+    for seed, amp in ((4, 0.3), (9, 0.45)):
+        state0 = presets.build_initial(
+            TORIC, 64, {"preset": "random", "seed": seed, "amplitude": amp}
         )
-        runs.append(flow.run(cfg, geometry.round_state(64)))
-        return runs
-
-    return _cached(cache, "growth_corpus", build)
+        cfg = flow.FlowConfig(
+            backend=TORIC, resolution=64, dt_init=1e-3, dt_min=1e-9,
+            dt_max=0.05, t_end=4.0, sample_interval=0.05,
+        )
+        runs.append(flow.run(cfg, state0))
+    cfg = flow.FlowConfig(
+        backend=TORIC, resolution=64, dt_init=1e-2, dt_min=1e-9,
+        dt_max=0.25, t_end=3.0, sample_interval=0.25,
+    )
+    runs.append(flow.run(cfg, geometry.round_state(64)))
+    return tuple(runs)
 
 
 # -------------------------------------------------------------- criteria
 
 
-def criterion_fixed_points(cache=None):
+def criterion_fixed_points():
     """1: flat and round states are stationary to the last bit."""
     flat = geometry.flat_state(32)
     rnd = geometry.round_state(64)
@@ -132,9 +118,9 @@ def criterion_fixed_points(cache=None):
     )
 
 
-def criterion_torus_convergence(cache=None):
+def criterion_torus_convergence():
     """2: seeded torus run decays monotonically and exponentially."""
-    cfg, state0, ca0, result = torus_convergence_run(cache)
+    cfg, state0, ca0, result = torus_convergence_run()
     tr = result.trace
     _, ca = tr.series("calabi_energy")
     monotone = bool(np.all(np.diff(ca) <= 0.0))
@@ -159,9 +145,9 @@ def criterion_torus_convergence(cache=None):
     )
 
 
-def criterion_toric_convergence(cache=None):
+def criterion_toric_convergence():
     """3: perturbed interval state returns to the round metric."""
-    cfg, state0, ca0, result = toric_convergence_run(cache)
+    cfg, state0, ca0, result = toric_convergence_run()
     final = result.final_state
     s = geometry.scalar_curvature(final).values
     sup_dev = float(np.max(np.abs(s - 2.0)))
@@ -174,7 +160,7 @@ def criterion_toric_convergence(cache=None):
     )
 
 
-def criterion_conservation(cache=None):
+def criterion_conservation():
     """4: class quantities conserved at every accepted state."""
 
     def observe(cfg, state0, topo):
@@ -235,7 +221,7 @@ def _one_step_residual(state, dt):
     return diagnostics.evolution_residual(state, res.new_state, dt)
 
 
-def criterion_evolution_identity(cache=None):
+def criterion_evolution_identity():
     """5: residual refines first-order in dt and spectrally in N.
 
     The standard state is band-limited (top mode 2) at amplitude 0.15, so
@@ -265,7 +251,7 @@ def criterion_evolution_identity(cache=None):
     )
 
 
-def criterion_toric_evolution_identity(cache=None):
+def criterion_toric_evolution_identity():
     """12: the toric step's residual refines first-order in dt.
 
     One step from a seeded amplitude-0.3 state at M = 64: the residual of
@@ -341,7 +327,7 @@ def _synthetic_corpus(n_traces=100):
     return out
 
 
-def criterion_scale_oracle(cache=None):
+def criterion_scale_oracle():
     """6: bisection curvature scale matches the dense-scan oracle."""
     worst = 0.0
     checked = 0
@@ -362,7 +348,7 @@ def criterion_scale_oracle(cache=None):
     )
 
 
-def criterion_rescale_covariance(cache=None):
+def criterion_rescale_covariance():
     """7: trace rescaling transforms t, O, P, Q exactly and F covariantly."""
     traces = [
         scale.synthetic_trace("constant", value=1.0, t1=6.0, n=81, p=0.3),
@@ -402,7 +388,7 @@ def criterion_rescale_covariance(cache=None):
     )
 
 
-def criterion_growth_bound(cache=None):
+def criterion_growth_bound():
     """8: calibrated doubling constant; bound holds on the desk corpus."""
     # Saturating synthetic trace: unit prefix for the anchor, then Q = 2^t
     # exactly at knots with constant P, so eps0_max = p (K+1) / (K-1).
@@ -419,7 +405,7 @@ def criterion_growth_bound(cache=None):
     sat_err = abs(gb.eps0_max - analytic) / analytic
     anchored_ok = abs(gb.anchor - (-1.0)) <= 1e-12
 
-    corpus = [r.trace for r in growth_corpus_runs(cache)]
+    corpus = [r.trace for r in growth_corpus_runs()]
     eps_vals = []
     holds_all = True
     for trace in corpus:
@@ -440,7 +426,7 @@ def criterion_growth_bound(cache=None):
     )
 
 
-def criterion_blowup_statistics(cache=None):
+def criterion_blowup_statistics():
     """9: rate statistics on power-law singular models."""
     t_sing = 5.0
     tr1 = scale.synthetic_trace("typeI", t_sing=t_sing, t0=0.0,
@@ -461,9 +447,8 @@ def criterion_blowup_statistics(cache=None):
     )
 
 
-def criterion_futaki(cache=None):
+def criterion_futaki():
     """10: the pairing vanishes on the flat class, linearly in the field."""
-    v1, v2 = diagnostics.basis_fields(TORUS)
     worst_val = 0.0
     worst_lin = 0.0
     for seed in range(20):
@@ -474,8 +459,8 @@ def criterion_futaki(cache=None):
         rng = np.random.default_rng(seed)
         a, b = rng.uniform(-2, 2, size=2)
         # a*V1 + b*V2 has coefficients (a, b) against the same basis.
-        combo = diagnostics.VectorFieldSpec(TORUS, (a, b))
-        f1, f2, f_combo = diagnostics.futaki(state, (v1, v2, combo))
+        f1, f2, f_combo = diagnostics.futaki(
+            state, (*diagnostics.basis_fields(TORUS), (a, b)))
         worst_val = max(worst_val, abs(f1), abs(f2))
         worst_lin = max(worst_lin, abs(f_combo - (a * f1 + b * f2)))
     passed = worst_val <= 1e-8 and worst_lin <= 1e-9
@@ -499,7 +484,7 @@ def _columns_match(trace, full, rows):
                     for name, mask in trace.absent.items()))
 
 
-def criterion_determinism(cache=None):
+def criterion_determinism():
     """11: bit-identical reruns; checkpoint resume matches the full run."""
     state0 = presets.build_initial(
         TORUS, 32, {"preset": "random", "seed": 7, "amplitude": 0.3}
@@ -567,15 +552,13 @@ SUITES = {
 }
 
 
-def run_suite(name, stream=None, cache=None):
+def run_suite(name, stream=None):
     """Run one named suite, print one line per criterion, return results."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if cache is None:
-        cache = {}
     results = []
     for number in SUITES[name]:
-        res = CRITERIA[number - 1](cache)
+        res = CRITERIA[number - 1]()
         results.append(res)
         if stream is not None:
             tag = "PASS" if res.passed else "FAIL"

@@ -3,12 +3,6 @@ import json
 import pytest
 
 
-@pytest.fixture(scope="session")
-def corpus_cache():
-    """Shared cache so acceptance criteria reuse the expensive runs."""
-    return {}
-
-
 @pytest.fixture
 def edit_header():
     """``edit(path, change)``: apply ``change(head)`` to a file's header.

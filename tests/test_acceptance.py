@@ -1,8 +1,9 @@
 """Acceptance gate: every shipped criterion, one test each.
 
 Each test prints a PASS/FAIL line with the measured numbers (run pytest
-with -s or -rP to see them), and the suite shares one session cache so the
-convergence runs execute once.  The same checks back ``calabilab verify``.
+with -s or -rP to see them).  ``verify`` computes its corpus runs once
+per process, so the convergence runs execute once.  The same checks back
+``calabilab verify``.
 """
 
 import pytest
@@ -14,8 +15,8 @@ from calabilab import verify
     "criterion", verify.CRITERIA,
     ids=[f"criterion_{i:02d}" for i in range(1, len(verify.CRITERIA) + 1)],
 )
-def test_criterion(criterion, corpus_cache):
-    result = criterion(corpus_cache)
+def test_criterion(criterion):
+    result = criterion()
     tag = "PASS" if result.passed else "FAIL"
     print(f"{tag} criterion {result.number:2d} [{result.name}]: "
           f"{result.detail}")

@@ -225,6 +225,24 @@ class TestManifestValues:
         assert payload["error_class"] == "BadParams"
         assert next(iter(initial)) in payload["message"]
 
+    @pytest.mark.parametrize("initial",
+                             ["flat", 5, None, [["preset", "flat"]]])
+    def test_initial_block_that_is_not_an_object_refused(
+            self, tmp_path, capsys, initial):
+        manifest = write_manifest(tmp_path, initial=initial)
+        code, payload = one_line_error(
+            ["run", manifest, "--outdir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert "initial" in payload["message"]
+
+    def test_outdir_that_is_not_a_string_refused(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, outdir=5)
+        code, payload = one_line_error(["run", manifest], capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert "outdir" in payload["message"]
+
     @pytest.mark.parametrize("field, value", [
         ("t_end", math.nan), ("t_end", math.inf), ("dt_max", math.inf),
         ("sample_interval", math.nan), ("energy_tol", math.nan),
@@ -563,6 +581,51 @@ class TestAnalyze:
         assert payload["error_class"] == "BadParams"
         assert option in payload["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["5", "nan", "0", "1"])
+    def test_alpha_outside_the_unit_interval_refused(self, tmp_path, capsys,
+                                                     value):
+        # With --t-sing before every sample no rate uses alpha, so only a
+        # check ahead of the analysis can refuse it.
+        path = tmp_path / "v.trace"
+        traceio.write_trace(violating_trace(), path)
+        out = tmp_path / "out"
+        code, payload = one_line_error(
+            ["analyze", str(path), "--alpha", value, "--t-sing", "-1",
+             "--outdir", str(out)], capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert "--alpha" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_curvature_ends_a_doubling_run(self, tmp_path, bad):
+        # A non-finite sup |Rm| ends a run of positive samples.  Taken
+        # into a run, an inf lets the doubled level reach inf and one
+        # crossing repeat without end while the segment list grows, so
+        # analyze runs in a child process under a timeout and an
+        # address-space cap.
+        import resource
+
+        path = tmp_path / "n.trace"
+        traceio.write_trace(
+            scale.synthetic_trace("sawtooth", times=[0.0, 1.0, 2.0, 3.0, 4.0],
+                                  q=[1.0, 3.0, bad, 1.0, 5.0]), path)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        cap = 1 << 30
+        done = subprocess.run(
+            [sys.executable, "-m", "calabilab", "analyze", str(path),
+             "--outdir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        assert done.returncode == 0, done.stdout + done.stderr
+        report = traceio.read_report(json.loads(done.stdout)["report"])
+        assert [(d["t0"], d["t1"]) for d in report["doubling"]] \
+            == [(0.0, 0.5), (3.0, 3.25), (3.25, 3.75)]
 
     def test_option_refused_before_the_trace_is_read(self, tmp_path,
                                                      capsys):

@@ -335,6 +335,38 @@ class TestDoubling:
             assert abs(found - exact) <= 0.05
         assert [s.t0 for s in segs][1:] == ends[:-1]
 
+    def test_several_crossings_inside_one_cell(self):
+        # Q rises from 1 to 9 over [0, 1]: the levels 2, 4 and 8 are all
+        # crossed in that cell, each from the crossing before it.
+        tr = sawtooth([0.0, 1.0, 2.0, 3.0], [1.0, 9.0, 9.0, 0.5],
+                      p=[0.5] * 4)
+        segs = scale.doubling_stats(tr)
+        assert [(s.t0, s.t1) for s in segs] \
+            == [(0.0, 0.125), (0.125, 0.375), (0.375, 0.875)]
+        assert [s.p_integral for s in segs] == [0.0625, 0.125, 0.25]
+
+    def test_runs_restart_after_zero_and_end_on_a_knot(self):
+        # The zero ends the first run after one doubling; the second run
+        # doubles three times in its one cell, at 3 + 1/7, 3 + 3/7 (one
+        # ulp above the double nearest it) and exactly at the knot t = 4.
+        tr = sawtooth([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 0.0, 2.0, 16.0])
+        segs = scale.doubling_stats(tr)
+        ends = [s.t1 for s in segs]
+        assert ends == [0.5, 3.142857142857143, 3.428571428571429, 4.0]
+        assert ends[1] == 3.0 + 1.0 / 7.0
+        assert [s.t0 for s in segs] == [0.0, 3.0, *ends[1:3]]
+
+    def test_level_reached_where_its_cell_starts(self):
+        # The crossing of 1 is half an ulp before the knot t = 1 + 2^-51
+        # and rounds onto it, where Q is already 2: the next doubling
+        # has zero length.
+        knot = 1.0 + 2.0 ** -51
+        tr = sawtooth([0.0, 1.0 + 2.0 ** -52, knot, 2.0],
+                      [0.5, 1e-300, 2.0, 2.0], p=[1.0] * 4)
+        segs = scale.doubling_stats(tr)
+        assert [(s.t0, s.t1) for s in segs] == [(0.0, knot), (knot, knot)]
+        assert segs[1].p_integral == 0.0
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(pl_traces())
     def test_segments_ordered_and_disjoint(self, tr):
