@@ -54,10 +54,19 @@ def _load_manifest(path):
     return cfg, manifest["initial"], outdir
 
 
+def _makedirs(path):
+    """Create the output directory ``path``; BadParams if it cannot be."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise BadParams(f"cannot create output directory {path}: {exc}") \
+            from exc
+    return path
+
+
 def _resolve_outdir(cli_outdir, manifest_outdir):
-    out = cli_outdir or manifest_outdir or os.environ.get(OUT_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    return _makedirs(
+        cli_outdir or manifest_outdir or os.environ.get(OUT_ENV) or ".")
 
 
 def _progress(stream, every=500):
@@ -213,6 +222,8 @@ def _sweep_worker(item):
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise BadParams(f"--jobs must be at least 1, not {args.jobs}")
     manifests = sorted(glob.glob(args.manifests))
     if not manifests:
         raise BadParams(f"no manifests match {args.manifests!r}")
@@ -220,11 +231,11 @@ def cmd_sweep(args):
     items = []
     for path in manifests:
         stem = os.path.splitext(os.path.basename(path))[0]
-        outdir = os.path.join(root, stem)
-        os.makedirs(outdir, exist_ok=True)
-        items.append((path, outdir))
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
+        items.append((path, _makedirs(os.path.join(root, stem))))
+    # A fork-started pool launches all its workers at the first submit.
+    workers = min(args.jobs, len(items))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             summaries = list(pool.map(_sweep_worker, items))
     else:
         summaries = [_sweep_worker(it) for it in items]
@@ -281,7 +292,8 @@ def build_parser():
 
     p_sw = sub.add_parser("sweep", help="run many manifests in parallel")
     p_sw.add_argument("manifests", help="glob of manifest files")
-    p_sw.add_argument("--jobs", type=int, default=2)
+    p_sw.add_argument("--jobs", type=int, default=2,
+                      help="worker processes, at most one per manifest")
     p_sw.add_argument("--outdir", default=None)
     p_sw.set_defaults(func=cmd_sweep)
     return parser

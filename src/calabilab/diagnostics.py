@@ -8,17 +8,17 @@ the backend's holomorphic basis fields, and an automorphism-minimized
 Sobolev gap to a reference state.
 """
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, SolverFailure
+from .errors import SolverFailure
 
 
-@dataclass(frozen=True)
-class DiagnosticsSample:
-    """One timestamped diagnostics record; field order is the file schema."""
+class DiagnosticsSample(NamedTuple):
+    """One timestamped diagnostics record: a tuple in file-schema order,
+    ``None`` where an optional field is blank."""
 
     t: float
     sup_scalar: float
@@ -34,11 +34,10 @@ class DiagnosticsSample:
     aut_gap: "float | None" = None
 
 
-SAMPLE_SCHEMA = tuple(f.name for f in fields(DiagnosticsSample))
+SAMPLE_SCHEMA = DiagnosticsSample._fields
 
 # The fields a sample may leave blank (``None``; ``-`` in a trace file).
-OPTIONAL_FIELDS = tuple(f.name for f in fields(DiagnosticsSample)
-                        if f.default is None)
+OPTIONAL_FIELDS = tuple(DiagnosticsSample._field_defaults)
 
 
 def basis_fields(backend):
@@ -138,47 +137,3 @@ def sample(state, prev=None, dt=None, reference=None):
         futaki=fut,
         aut_gap=gap,
     )
-
-
-@dataclass(frozen=True)
-class SmoothingProbe:
-    """Fitted smoothing constants and the companion interpolation ratio."""
-
-    constants: dict
-    interp_ratio_sup: float
-
-
-def smoothing_probe(trace, bound):
-    """Empirical constants in the derivative-smoothing envelope.
-
-    For each derivative order l the probe returns the largest sampled value
-    of sup |grad^l Rm|(t) divided by (bound + (t - t_start)^(-1/2))^(1+l/2);
-    finiteness and stability of these constants under refinement is the
-    testable content.  Numerators use |grad Rm| = |grad S|/2 and
-    |grad^2 Rm| = |hess S|/2, the dimension-one reductions.  Raises
-    DomainError when sup |Rm| exceeds the assumed bound anywhere, since the
-    envelope's hypothesis fails there.  The interpolation ratio
-    sup |hess S| / sup |S|^(1/2) is logged alongside.
-    """
-    col = trace.columns
-    t, q = col["t"], col["sup_curv"]
-    if t.size < 2:
-        raise DomainError("smoothing probe needs at least two samples")
-    worst = float(np.max(q))
-    if worst > bound * (1.0 + 1e-12):
-        raise DomainError(
-            f"curvature bound violated: sup |Rm| = {worst:.3e} > {bound:.3e}"
-        )
-    tau = t - t[0]
-    later = tau > 0.0
-    envelope = bound + tau[later] ** -0.5
-    constants = {}
-    for order in (1, 2):
-        num = 0.5 * col["sup_grad_scalar" if order == 1
-                        else "sup_hess_scalar"][later]
-        constants[order] = float(np.max(
-            num / envelope ** (1.0 + order / 2.0), initial=0.0))
-    o, p = col["sup_scalar"], col["sup_hess_scalar"]
-    curved = o > 1e-300
-    ratio = float(np.max(p[curved] / o[curved] ** 0.5, initial=0.0))
-    return SmoothingProbe(constants=constants, interp_ratio_sup=ratio)

@@ -16,7 +16,9 @@ that resuming reproduces the uninterrupted run bit for bit.
 """
 
 import math
+import numbers
 import os
+import sys
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
@@ -45,8 +47,12 @@ class FlowConfig:
     def __post_init__(self):
         ops = geometry.backend_module(self.backend)
         # Every field after backend and resolution is a time or tolerance.
-        if not all(map(math.isfinite, astuple(self)[2:])):
-            raise ValueError("config times and tolerances must be finite")
+        # The bound is false for nan, infinities and ints beyond a double.
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and abs(v) <= sys.float_info.max
+                   for v in astuple(self)[2:]):
+            raise ValueError(
+                "config times and tolerances must be finite real numbers")
         if not 0 < self.dt_min <= self.dt_init <= self.dt_max:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if self.t_end <= 0:

@@ -43,12 +43,11 @@ scan gives; integrals agree with a direct trapezoid sum to rounding.
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import OPTIONAL_FIELDS, SAMPLE_SCHEMA, DiagnosticsSample
+from .diagnostics import OPTIONAL_FIELDS, SAMPLE_SCHEMA
 from .errors import BadParams, DomainError
 
 TERMINATIONS = ("completed", "stop_energy", "left_cone", "error")
@@ -65,8 +64,6 @@ LAM_GRID.setflags(write=False)
 # ``analyze`` evaluates pointwise quantities at most at this many times.
 MAX_POINTS = 512
 
-
-_RECORD = operator.attrgetter(*SAMPLE_SCHEMA)
 
 # The schema lists the required fields first, then the optional ones.
 _N_REQUIRED = len(SAMPLE_SCHEMA) - len(OPTIONAL_FIELDS)
@@ -108,7 +105,9 @@ class Trace:
     array.  ``absent`` maps each optional field to a read-only mask of the
     samples that leave it blank; those entries read nan in the column, so
     a blank and a recorded nan stay distinct.  ``Trace(samples, t_start,
-    t_end, termination, metadata)`` adapts ``DiagnosticsSample`` records.
+    t_end, termination, metadata)`` builds one from records that list
+    their fields in schema order (``DiagnosticsSample`` named tuples),
+    ``None`` where blank; ``Trace.from_columns`` builds one from arrays.
 
     A trace is immutable.  Equality compares ``t_start``, ``t_end``,
     ``termination``, ``metadata``, the masks and every column bit for bit;
@@ -117,7 +116,7 @@ class Trace:
     """
 
     def __init__(self, samples, t_start, t_end, termination, metadata=None):
-        columns, absent = record_columns(map(_RECORD, samples), None)
+        columns, absent = record_columns(samples, None)
         self._store(columns, absent, t_start, t_end, termination, metadata)
 
     @classmethod
@@ -177,17 +176,6 @@ class Trace:
     def series(self, name):
         """(times, values) read-only columns of one field; blanks are nan."""
         return self.columns["t"], self.columns[name]
-
-    def rows(self):
-        """Each sample's fields in schema order, ``None`` where blank."""
-        grid = np.array(list(self.columns.values())).T.astype(object)
-        grid[:, _N_REQUIRED:][np.array(list(self.absent.values())).T] = None
-        return grid.tolist()
-
-    @property
-    def samples(self):
-        """The samples as ``DiagnosticsSample`` records, built on access."""
-        return tuple(DiagnosticsSample(*row) for row in self.rows())
 
     def __len__(self):
         return self.columns["t"].size

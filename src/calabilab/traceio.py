@@ -67,12 +67,6 @@ def config_hash(cfg_dict):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _fmt(x):
-    if x is None:
-        return "-"
-    return repr(float(x))
-
-
 def _write_atomic(path, write, mode="w"):
     """Call ``write(fh)`` on a temporary sibling of ``path``, then rename it.
 
@@ -138,6 +132,8 @@ def _header(text, want_kind):
 
 
 def write_trace(trace, path):
+    """Write ``trace`` from its columns: each value as its ``repr``, ``-``
+    where an optional field is blank."""
     head = {
         "format_version": FORMAT_VERSIONS["trace"],
         "kind": "trace",
@@ -152,10 +148,16 @@ def write_trace(trace, path):
         "metadata": trace.metadata,
     }
 
+    cells = {name: list(map(repr, col.tolist()))
+             for name, col in trace.columns.items()}
+    for name, blank in trace.absent.items():
+        for i in np.flatnonzero(blank).tolist():
+            cells[name][i] = "-"
+
     def write(fh):
         fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for row in trace.rows():
-            fh.write(" ".join(map(_fmt, row)) + "\n")
+        for row in zip(*cells.values()):
+            fh.write(" ".join(row) + "\n")
 
     _write_atomic(path, write)
 

@@ -1,5 +1,6 @@
 """Command-line surface: run, analyze, sweep, error reporting."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -50,6 +51,16 @@ def violating_trace():
     q[(t > 6.75) & (t < 6.8)] = 0.0
     return scale.synthetic_trace("sawtooth", times=t, q=q, p=0.5 * q * q,
                                  o=o)
+
+
+def suffix(trace, t_c, like):
+    """The samples of ``trace`` after ``t_c``, with the run fields (times,
+    termination, metadata) of the trace ``like``."""
+    rows = trace.columns["t"] > t_c
+    return scale.Trace.from_columns(
+        {name: col[rows] for name, col in trace.columns.items()},
+        like.t_start, like.t_end, like.termination, like.metadata,
+        {name: mask[rows] for name, mask in trace.absent.items()})
 
 
 def run_cli(args, capsys):
@@ -119,8 +130,7 @@ class TestRun:
         assert code == 0
         resumed = traceio.read_trace(payload2["trace"])
         t_c = traceio.read_checkpoint(str(ckpt)).state.t
-        suffix = tuple(s for s in full.samples if s.t > t_c)
-        assert resumed.samples == suffix
+        assert resumed == suffix(full, t_c, resumed)
 
     def test_resume_into_the_original_outdir_keeps_its_trace(
             self, tmp_path, capsys):
@@ -145,7 +155,7 @@ class TestRun:
         assert (out / "run.trace").read_bytes() == original
         t_c = traceio.read_checkpoint(str(ckpt)).state.t
         resumed = traceio.read_trace(payload2["trace"])
-        assert resumed.samples == tuple(s for s in full.samples if s.t > t_c)
+        assert resumed == suffix(full, t_c, resumed)
 
     @pytest.mark.parametrize("backend,resolution",
                              [("torus", 48), ("toric1d", 4096)])
@@ -249,6 +259,7 @@ class TestManifestValues:
         ("stop_energy", math.nan), ("checkpoint_interval", math.nan),
         ("checkpoint_interval", -1.0),
         pytest.param("t_end", 10 ** 400, id="t_end-int-beyond-float"),
+        ("t_end", True), ("dt_init", True), ("t_end", "1.0"),
     ])
     def test_config_value_refused(self, tmp_path, capsys, field, value):
         # The flat state is at any positive stop_energy, so an accepted
@@ -260,6 +271,48 @@ class TestManifestValues:
         assert code == 1
         assert payload["error_class"] == "BadParams"
         assert not (tmp_path / "out").exists()
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["run", "analyze", "sweep"])
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["is-a-file", "below-a-file"])
+    def test_directory_that_cannot_be_made(self, tmp_path, capsys, command,
+                                           below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        outdir = blocker / "x" if below else blocker
+        if command == "analyze":
+            target = str(tmp_path / "t.trace")
+            traceio.write_trace(
+                scale.synthetic_trace("constant", value=1.0, n=11), target)
+        else:
+            target = write_manifest(tmp_path)
+        code = cli.main([command, target, "--outdir", str(outdir)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["status"] == "error"
+        assert payload["error_class"] == "BadParams"
+        assert str(outdir) in payload["message"]
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_sweep_run_directory_that_cannot_be_made(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, name="sweep_1.json")
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "sweep_1").write_text("")
+        code = cli.main(["sweep", manifest, "--outdir", str(runs)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["error_class"] == "BadParams"
+        assert "sweep_1" in payload["message"]
+        assert sorted(os.listdir(runs)) == ["sweep_1"]
 
 
 class TestDamagedInputs:
@@ -673,6 +726,52 @@ class TestSweep:
         assert len(summary["runs"]) == 2
         assert {os.path.basename(r["manifest"]) for r in summary["runs"]} \
             == {"sweep_1.json", "sweep_2.json"}
+
+    @pytest.mark.parametrize("n_manifests, jobs, want", [
+        (1, 64, []), (2, 64, [2]), (3, 2, [2]), (2, 1, []),
+    ])
+    def test_pool_has_at_most_one_worker_per_manifest(
+            self, tmp_path, capsys, monkeypatch, n_manifests, jobs, want):
+        # A fork-started pool forks all its workers at the first submit,
+        # so the pool is sized by the manifests, not by --jobs alone.
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        for i in range(n_manifests):
+            write_manifest(tmp_path, name=f"sweep_{i}.json")
+        code, payload = run_cli(
+            ["sweep", str(tmp_path / "sweep_*.json"), "--jobs", str(jobs),
+             "--outdir", str(tmp_path / "runs")], capsys)
+        assert code == 0
+        assert payload["runs"] == n_manifests
+        assert sizes == want
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):
+        manifest = write_manifest(tmp_path, name="sweep_1.json")
+        code, payload = one_line_error(
+            ["sweep", manifest, "--jobs", jobs,
+             "--outdir", str(tmp_path / "runs")], capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert "--jobs" in payload["message"]
+        assert not (tmp_path / "runs").exists()
 
     def test_empty_glob(self, tmp_path, capsys):
         code, payload = run_cli(

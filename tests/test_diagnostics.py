@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from calabilab import diagnostics, flow, geometry, presets
-from calabilab.errors import DomainError
 from calabilab.geometry import toric, torus
 
 
@@ -37,6 +36,30 @@ class TestSample:
         for state in (torus_state(), geometry.round_state(32)):
             rec = diagnostics.sample(state)
             assert rec.sup_curv == 0.5 * rec.sup_scalar
+
+    def test_record_is_a_tuple_in_schema_order(self):
+        state = torus_state()
+        res = flow.step(state, 1e-5)
+        new = res.new_state
+        rec = diagnostics.sample(new, prev=state, dt=1e-5,
+                                 reference=geometry.flat_state(32))
+        assert isinstance(rec, tuple)
+        assert rec._fields == diagnostics.SAMPLE_SCHEMA
+        assert len(rec) == len(diagnostics.SAMPLE_SCHEMA)
+        assert diagnostics.SAMPLE_SCHEMA[-3:] == diagnostics.OPTIONAL_FIELDS
+        want = {"t": float(new.t),
+                "calabi_energy": geometry.calabi_energy(new),
+                "volume": geometry.volume(new),
+                "mean_scalar": geometry.average_scalar(new),
+                "aut_gap": diagnostics.automorphism_gap(
+                    new, geometry.flat_state(32))}
+        for name, value in want.items():
+            assert rec[diagnostics.SAMPLE_SCHEMA.index(name)] == value
+        assert rec[1:4] == geometry.curvature_norms(new)
+        assert rec[7:9] == geometry.scalar_probes(new)
+        # A blank optional field is None in its place.
+        lone = diagnostics.sample(geometry.flat_state(32))
+        assert lone[-3] is None and lone[-1] is None
 
     def test_cross_step_fields(self):
         state = torus_state()
@@ -271,52 +294,3 @@ class TestAutomorphismGap:
             diagnostics.automorphism_gap(geometry.flat_state(16),
                                          geometry.round_state(16))
 
-
-class TestSmoothingProbe:
-    def test_fixed_point_constants_vanish(self):
-        cfg = flow.FlowConfig(
-            backend="torus", resolution=16, dt_init=1e-2, dt_min=1e-8,
-            dt_max=0.5, t_end=1.0, sample_interval=0.1,
-        )
-        tr = flow.run(cfg, geometry.flat_state(16)).trace
-        probe = diagnostics.smoothing_probe(tr, bound=1.0)
-        assert probe.constants == {1: 0.0, 2: 0.0}
-        assert probe.interp_ratio_sup == 0.0
-
-    def test_bound_violation_raises(self):
-        cfg = flow.FlowConfig(
-            backend="toric1d", resolution=64, dt_init=1e-3, dt_min=1e-9,
-            dt_max=0.1, t_end=0.5, sample_interval=0.1,
-        )
-        tr = flow.run(cfg, geometry.round_state(64)).trace
-        with pytest.raises(DomainError):
-            diagnostics.smoothing_probe(tr, bound=0.5)  # sup |Rm| = 1
-
-    def test_rough_data_constants_stable_under_refinement(self):
-        # One rough profile represented on two grids; the fitted envelope
-        # constants are a property of the flow, not of the grid.
-        from calabilab.verify import _spectral_prolong
-
-        rough32 = presets.build_initial(
-            "torus", 32, {"preset": "rough", "seed": 9, "amplitude": 0.3}
-        ).values
-        states = {32: geometry.torus_state(rough32),
-                  64: geometry.torus_state(_spectral_prolong(rough32, 64))}
-        traces = {}
-        for n, state in states.items():
-            cfg = flow.FlowConfig(
-                backend="torus", resolution=n, dt_init=2e-5, dt_min=1e-10,
-                dt_max=2e-3, t_end=0.25, sample_interval=5e-3,
-            )
-            traces[n] = flow.run(cfg, state).trace
-        bound = max(
-            float(np.max(tr.series("sup_curv")[1])) for tr in traces.values()
-        ) * (1 + 1e-9)
-        consts = {n: diagnostics.smoothing_probe(tr, bound)
-                  for n, tr in traces.items()}
-        for order in (1, 2):
-            c32 = consts[32].constants[order]
-            c64 = consts[64].constants[order]
-            assert c64 > 0
-            assert abs(c32 - c64) <= 0.2 * max(c32, c64)
-        assert np.isfinite(consts[64].interp_ratio_sup)

@@ -4,6 +4,7 @@ import gc
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ class TestRun:
         ckpt = traceio.read_checkpoint(tmp_path / "checkpoint_0001.ckpt")
         resumed = flow.resume(cfg, ckpt)
         rows = full.trace.columns["t"] > ckpt.state.t
-        assert rows.sum() == len(resumed.trace.samples) > 0
+        assert rows.sum() == len(resumed.trace) > 0
         for name, col in resumed.trace.columns.items():
             assert np.array_equal(col.view(np.int64),
                                   full.trace.columns[name][rows].view(
@@ -197,7 +198,7 @@ class TestRun:
         )
         result = flow.run(cfg, state)
         assert result.trace.termination == "stop_energy"
-        assert result.trace.samples[-1].calabi_energy <= 1e-4 * ca0
+        assert result.trace.columns["calabi_energy"][-1] <= 1e-4 * ca0
 
     def test_left_cone_reported_not_raised(self):
         # One allowed step size, taken from far out in the cone: the
@@ -215,7 +216,7 @@ class TestRun:
         result = flow.run(cfg, state)
         assert result.trace.termination == "left_cone"
         assert result.reason.startswith("positivity lost at minimum step")
-        assert result.trace.samples  # partial trace retained
+        assert len(result.trace) > 0  # partial trace retained
 
     def test_toric_run_factors_once_per_step_size(self, monkeypatch):
         # The implicit operator depends only on (M, dt): a run factors it
@@ -292,10 +293,9 @@ class TestRun:
             dt_max=0.1, t_end=0.3, sample_interval=0.1,
         )
         states = [torus_state(seed=s, n=16) for s in range(4)]
-        seq = [flow.run(cfg, s).trace.samples for s in states]
+        seq = [flow.run(cfg, s).trace for s in states]
         with ThreadPoolExecutor(4) as pool:
-            par = list(pool.map(lambda s: flow.run(cfg, s).trace.samples,
-                                states))
+            par = list(pool.map(lambda s: flow.run(cfg, s).trace, states))
         assert seq == par
 
     def test_concurrent_toric_steps_share_the_factorization(self):
@@ -342,6 +342,11 @@ class TestConfigValidation:
         ("energy_tol", float("nan")), ("stop_energy", float("nan")),
         ("checkpoint_interval", float("nan")),
         ("checkpoint_interval", -1.0),
+        # Not real numbers: a bool would run as 0 or 1.
+        ("dt_init", True), ("t_end", True), ("energy_tol", False),
+        ("checkpoint_interval", True), ("t_end", "1.0"), ("dt_max", None),
+        ("sample_interval", [0.1]), ("stop_energy", 1j),
+        pytest.param("t_end", 10 ** 400, id="t_end-int-beyond-float"),
     ])
     def test_times_and_tolerances_are_finite(self, field, value):
         spec = dict(backend="torus", resolution=32, dt_init=1e-3,
@@ -349,6 +354,19 @@ class TestConfigValidation:
         spec[field] = value
         with pytest.raises(ValueError):
             flow.FlowConfig(**spec)
+
+    @pytest.mark.parametrize("spec, want", [
+        (dict(backend="torus", resolution=32, dt_init=1e-3, dt_min=1e-4,
+              dt_max=0.1, t_end=2, sample_interval=0.1,
+              checkpoint_interval=1), "2a288c476f3ee053"),
+        (dict(backend="toric1d", resolution=64, dt_init=0.25, dt_min=1e-9,
+              dt_max=0.5, t_end=4.0, sample_interval=0.5, energy_tol=1e-12,
+              stop_energy=1e-16), "7abcf694105321ac"),
+    ])
+    def test_valid_config_keeps_its_hash(self, spec, want):
+        # Ints stay ints in the hashed config, so its bytes do not move.
+        cfg = flow.FlowConfig(**spec)
+        assert traceio.config_hash(asdict(cfg)) == want
 
 
 class TestExtremality:

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calabilab import scale
+from calabilab.diagnostics import (OPTIONAL_FIELDS, SAMPLE_SCHEMA,
+                                   DiagnosticsSample)
 from calabilab.errors import BadParams, DomainError
 from calabilab.verify import _synthetic_corpus, dense_scan_curvature_scale
 
@@ -20,6 +22,15 @@ def sawtooth(times, q, p=None, o=None):
     if o is not None:
         kw["o"] = np.asarray(o, float)
     return scale.synthetic_trace("sawtooth", **kw)
+
+
+def records(trace):
+    """The samples of a synthetic trace, whose optional fields are all
+    blank, as ``DiagnosticsSample`` records read from its columns."""
+    assert all(mask.all() for mask in trace.absent.values())
+    n_required = len(SAMPLE_SCHEMA) - len(OPTIONAL_FIELDS)
+    return [DiagnosticsSample(*row[:n_required])
+            for row in zip(*(col.tolist() for col in trace.columns.values()))]
 
 
 @st.composite
@@ -226,16 +237,19 @@ class TestWindowTables:
 class TestTraceColumns:
     def test_series_is_cached_read_only_and_matches_samples(self):
         tr = scale.synthetic_trace("typeI", t_sing=5.0, t1=4.5, n=31)
-        samples = list(tr.samples)
-        samples[3] = dataclasses.replace(samples[3], futaki=0.25)
-        tr = scale.Trace(tuple(samples), tr.t_start, tr.t_end,
+        samples = records(tr)
+        samples[3] = samples[3]._replace(futaki=0.25)
+        tr = scale.Trace(samples, tr.t_start, tr.t_end,
                          tr.termination, tr.metadata)
         for name in ("sup_curv", "calabi_energy", "futaki"):
             t, y = tr.series(name)
-            assert t.tolist() == [s.t for s in tr.samples]
-            for s, v in zip(tr.samples, y.tolist()):
+            assert t.tolist() == [s.t for s in samples]
+            for s, v in zip(samples, y.tolist()):
                 field = getattr(s, name)
                 assert (math.isnan(v) if field is None else v == field)
+            if name in tr.absent:
+                assert tr.absent[name].tolist() == [
+                    getattr(s, name) is None for s in samples]
             for arr in (t, y):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -245,8 +259,9 @@ class TestTraceColumns:
 
     def test_caches_take_no_part_in_equality(self):
         tr = scale.synthetic_trace("constant", value=1.0, n=21)
-        twin = scale.Trace(tr.samples, tr.t_start, tr.t_end,
-                           tr.termination, dict(tr.metadata))
+        twin = scale.Trace.from_columns(tr.columns, tr.t_start, tr.t_end,
+                                        tr.termination, dict(tr.metadata),
+                                        tr.absent)
         scale.curvature_scale(tr, 5.0)
         assert tr == twin
         assert "_columns" not in repr(tr)
@@ -681,7 +696,7 @@ class TestBarrier:
     def test_no_times_give_no_reports(self):
         tr = scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=5.0)
         assert scale.barrier_checks(tr, []) == []
-        lone = scale.Trace(tr.samples[:1], 0.0, 0.0, "completed", {})
+        lone = scale.Trace(records(tr)[:1], 0.0, 0.0, "completed", {})
         assert scale.barrier_checks(lone, np.empty(0)) == []
 
 
@@ -727,20 +742,23 @@ class TestRescale:
     def test_identity(self):
         tr = scale.synthetic_trace("typeI", t_sing=5.0, t1=4.5, n=61)
         rs = scale.rescale_trace(tr, 1.0)
-        assert rs.samples == tr.samples
+        assert rs == scale.Trace.from_columns(
+            tr.columns, tr.t_start, tr.t_end, tr.termination,
+            {**tr.metadata, "rescaled_by": 1.0}, tr.absent)
 
     def test_field_scaling_rules(self):
         tr = scale.synthetic_trace("constant", value=1.5, t1=6.0, n=11,
                                    p=0.25, o=3.0)
         a = 2.0
         rs = scale.rescale_trace(tr, a)
-        s0, s1 = tr.samples[3], rs.samples[3]
-        assert s1.sup_curv == s0.sup_curv / a
-        assert s1.sup_hess_scalar == s0.sup_hess_scalar / a ** 2
-        assert s1.sup_scalar == s0.sup_scalar / a
-        assert s1.calabi_energy == s0.calabi_energy / a
-        assert s1.volume == s0.volume * a
-        assert s1.t == a * a * (s0.t - tr.t_start)
+        s0 = {name: col[3] for name, col in tr.columns.items()}
+        s1 = {name: col[3] for name, col in rs.columns.items()}
+        assert s1["sup_curv"] == s0["sup_curv"] / a
+        assert s1["sup_hess_scalar"] == s0["sup_hess_scalar"] / a ** 2
+        assert s1["sup_scalar"] == s0["sup_scalar"] / a
+        assert s1["calabi_energy"] == s0["calabi_energy"] / a
+        assert s1["volume"] == s0["volume"] * a
+        assert s1["t"] == a * a * (s0["t"] - tr.t_start)
 
     def test_constant_curve_scale_identity(self):
         # Q = 1 trace, A = 2: the curvature scale quadruples at the image
@@ -794,14 +812,14 @@ def test_analyze_trace_bundle():
 
 
 def test_trace_requires_increasing_times():
-    s = scale.synthetic_trace("constant", value=1.0).samples
+    s = records(scale.synthetic_trace("constant", value=1.0))
     with pytest.raises(ValueError):
         scale.Trace((s[0], s[0]), 0.0, 1.0, "completed", {})
 
 
 def test_derivative_ops_need_two_samples():
-    s = scale.synthetic_trace("constant", value=1.0).samples
-    lone = scale.Trace((s[0],), 0.0, 0.0, "completed", {})
+    tr = scale.synthetic_trace("constant", value=1.0)
+    lone = scale.Trace(records(tr)[:1], 0.0, 0.0, "completed", {})
     with pytest.raises(DomainError):
         scale.curvature_scale(lone, 0.0)
 
