@@ -129,24 +129,20 @@ def _torus_step(state, dt):
 
 
 def lu_factor(a):
-    """``scipy.linalg.lu_factor(a)``.  scipy is imported on the first toric
-    factorization: no other path needs it, and importing it takes most of
-    a CLI process's start-up."""
+    """``scipy.linalg.lu_factor(a)``; no caller in the package.
+
+    Kept, with ``lu_solve``, for the benchmark harness: ``bench/tracer.py``
+    wraps both names at install and fails when either is gone.  ROADMAP
+    item 1's harness change removes them.
+    """
     from scipy.linalg import lu_factor as factor
     return factor(a)
 
 
 def lu_solve(lu_and_piv, b):
-    """``scipy.linalg.lu_solve(lu_and_piv, b)``, imported like
-    ``lu_factor``."""
+    """``scipy.linalg.lu_solve(lu_and_piv, b)``; kept like ``lu_factor``."""
     from scipy.linalg import lu_solve as solve
     return solve(lu_and_piv, b)
-
-
-# The factorization of W + dt K0 for the (M, dt) of the last toric step.
-# One slot, replaced by one assignment: a concurrent fill stores a
-# matching key and factorization either way.
-_toric_lu = (None, None)
 
 
 def _toric_implicit_step(state, dt):
@@ -155,34 +151,27 @@ def _toric_implicit_step(state, dt):
     The flow field is ``rhs``, F(v) = -(S - 2) = -(q^2 rho v'')''
     (q = 1-x^2, rho = 1/(1 + q v'')), read from the state's cached S.  Its
     Jacobian at the round state is -(q^2 (.)'')''; against the quadrature
-    inner product that is the stiffness K0 = D2' diag(w q^2) D2 of
-    ``toric.ops``, symmetric positive semidefinite and independent of v.
-    As the torus step freezes the flat bi-Laplacian, this step keeps K0
-    implicit and forces with the flow's own velocity,
+    inner product that is the stiffness K0, symmetric positive
+    semidefinite and independent of v.  As the torus step freezes the flat
+    bi-Laplacian, this step keeps K0 implicit and forces with the flow's
+    own velocity,
 
         (W + dt K0) delta = dt W F(v),      W = diag(w),
 
     so delta = dt F(v) + O(dt^2): the step integrates the flow that
     ``rhs`` describes, and energy acceptance guards the explicit rest of
-    the Jacobian.  At the round state S is exactly 2, F vanishes and the
-    update returns v bit for bit.  W + dt K0 depends only on (M, dt), so
-    it is factored once when either changes (dt changes only when the
-    driver halves or doubles it) and that one factorization is kept.
+    the Jacobian.  The system is solved in the eigenbasis of the pencil
+    (``toric.ChebOps.modes``, one eigh per M, shared by every dt):
+
+        delta = (1/r) Q diag(dt / (1 + dt lam)) Q' (r F).
+
+    At the round state S is exactly 2, F vanishes and the update returns
+    v bit for bit.
     """
-    global _toric_lu
     v = state.values
-    o = toric.ops(v.shape[0])
-    key = (v.shape[0], dt)
-    held, lu = _toric_lu
-    if held != key:
-        lu = lu_factor(np.diag(o.weights) + dt * o.k0)
-        _toric_lu = (key, lu)
-    # scipy's solve shifts the pivot array to 1-based indices in place
-    # around the LAPACK call; threads sharing one pivot array then solve
-    # with wrong pivots or crash.  Each solve gets its own copy.
-    lu_mat, piv = lu
-    forcing = dt * o.weights * rhs(state).values
-    delta = lu_solve((lu_mat, piv.copy()), forcing)
+    r, lam, q = toric.ops(v.shape[0]).modes
+    g = q.T @ (r * rhs(state).values)
+    delta = (q @ (dt / (1.0 + dt * lam) * g)) / r
     return toric.strip_affine(v + delta)
 
 

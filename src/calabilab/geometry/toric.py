@@ -22,6 +22,7 @@ values rho(+-1) = 1 pin the average scalar curvature at 2 for every
 admissible state.
 """
 
+import threading
 from numbers import Integral
 
 import numpy as np
@@ -39,6 +40,9 @@ BASE_NAME = "toric positivity"  # what the positivity check reads
 ZERO_PRESET = "round"  # the preset whose correction v vanishes
 
 _CACHE = {}
+# Guards the first build of a node count's tables and of its modes, so
+# that racing threads share one ChebOps and one eigendecomposition.
+_LOCK = threading.Lock()
 
 
 def check_resolution(m):
@@ -56,7 +60,8 @@ def check_gauge(v):
 
 
 class ChebOps:
-    """Differentiation, quadrature and stiffness tables for m Lobatto nodes."""
+    """Differentiation and quadrature tables for m Lobatto nodes, and the
+    round-state modes of the toric step."""
 
     def __init__(self, m):
         if m < 4:
@@ -81,13 +86,33 @@ class ChebOps:
         self.d2 = dmat @ dmat
         self.q = 1.0 - x * x
         self.weights = _clenshaw_curtis(m)
-        # Round-state stiffness D2' diag(w q^2) D2: the flow's linearization
-        # -(q^2 (.)'')'' at v = 0 against the quadrature inner product,
-        # symmetric positive semidefinite; the toric step keeps it implicit.
-        self.k0 = self.d2.T @ ((self.weights * self.q * self.q)[:, None]
-                               * self.d2)
-        for a in (self.x, self.d1, self.d2, self.q, self.weights, self.k0):
+        for a in (self.x, self.d1, self.d2, self.q, self.weights):
             a.setflags(write=False)
+        self._modes = None
+
+    @property
+    def modes(self):
+        """(r, lam, Q): the round-state pencil in an orthonormal eigenbasis.
+
+        The round-state stiffness K0 = D2' diag(w q^2) D2 is the flow's
+        linearization -(q^2 (.)'')'' at v = 0 against the quadrature inner
+        product W = diag(w); it is symmetric positive semidefinite.  With
+        r = sqrt(w), K0 / (r r') = Q diag(lam) Q', so W + dt K0 =
+        R Q diag(1 + dt lam) Q' R for every dt.  lam is clamped at 0: the
+        two affine gauge modes come out a rounding error below it.
+        Computed on first use and kept; one eigh per node count.
+        """
+        with _LOCK:
+            if self._modes is None:
+                r = np.sqrt(self.weights)
+                k0 = self.d2.T @ ((self.weights * self.q * self.q)[:, None]
+                                  * self.d2)
+                lam, vecs = np.linalg.eigh(k0 / np.outer(r, r))
+                lam = np.maximum(lam, 0.0)
+                for a in (r, lam, vecs):
+                    a.setflags(write=False)
+                self._modes = (r, lam, vecs)
+        return self._modes
 
 
 def _clenshaw_curtis(m):
@@ -112,8 +137,10 @@ def _clenshaw_curtis(m):
 def ops(m):
     o = _CACHE.get(m)
     if o is None:
-        o = ChebOps(m)
-        _CACHE[m] = o
+        with _LOCK:
+            o = _CACHE.get(m)
+            if o is None:
+                o = _CACHE[m] = ChebOps(m)
     return o
 
 
@@ -259,8 +286,16 @@ def _seeded_potential(m, seed, amplitude, top, decay):
 
 
 def random_potential(m, seed, amplitude, kmax=None):
-    """Seeded smooth correction, Chebyshev degrees up to kmax (default 6)."""
-    return _seeded_potential(m, seed, amplitude, int(kmax) if kmax else 6, 0)
+    """Seeded smooth correction, Chebyshev degrees up to kmax (default 6).
+
+    Degrees above m - 1 alias on m Lobatto nodes (cos(28 theta) is
+    cos(2 theta) at m = 16), so a larger kmax is refused.
+    """
+    top = int(kmax) if kmax else 6
+    if top > m - 1:
+        raise BadParams(f"kmax {kmax} exceeds {m - 1}, the highest "
+                        f"Chebyshev degree {m} Lobatto nodes resolve")
+    return _seeded_potential(m, seed, amplitude, top, 0)
 
 
 def rough_potential(m, seed, amplitude):

@@ -272,8 +272,16 @@ def _seeded_potential(n, seed, amplitude, cut, decay):
 
 
 def random_potential(n, seed, amplitude, kmax=None):
-    """Seeded band-limited potential, Fourier modes up to kmax (default 4)."""
-    return _seeded_potential(n, seed, amplitude, int(kmax) if kmax else 4, 0)
+    """Seeded band-limited potential, Fourier modes up to kmax (default 4).
+
+    An N-point grid resolves |k_x|, k_y <= N/2; a larger kmax would give
+    the kmax N/2 state, so it is refused.
+    """
+    cut = int(kmax) if kmax else 4
+    if cut > n // 2:
+        raise BadParams(f"kmax {kmax} exceeds {n // 2}, the highest mode "
+                        f"an N={n} grid resolves")
+    return _seeded_potential(n, seed, amplitude, cut, 0)
 
 
 def rough_potential(n, seed, amplitude):

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from calabilab import cli, scale, traceio
+from calabilab import cli, presets, scale, traceio
 
 
 def write_manifest(tmp_path, name="m.json", **overrides):
@@ -225,6 +225,8 @@ class TestManifestValues:
         {"kmax": "x"}, {"kmax": 0}, {"kmax": 2.5},
         {"allow_overamplitude": "yes"}, {"allow_overamplitude": 1},
         {"kmax": 2, "preset": "rough"},
+        # The default grid is the N=16 torus, which resolves |k| <= 8.
+        {"kmax": 9}, {"kmax": 10 ** 6},
     ])
     def test_initial_value_refused(self, tmp_path, capsys, initial):
         manifest = write_manifest(
@@ -234,6 +236,26 @@ class TestManifestValues:
         assert code == 1
         assert payload["error_class"] == "BadParams"
         assert next(iter(initial)) in payload["message"]
+
+    @pytest.mark.parametrize("kmax", [16, 2 * 10 ** 5])
+    def test_toric_kmax_above_the_top_degree_refused(self, tmp_path, capsys,
+                                                     kmax):
+        # M=16 Lobatto nodes resolve Chebyshev degrees up to 15; higher
+        # degrees alias onto lower ones.
+        manifest = write_manifest(
+            tmp_path, config={"backend": "toric1d"},
+            initial={"preset": "random", "kmax": kmax})
+        code, payload = one_line_error(
+            ["run", manifest, "--outdir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert f"kmax {kmax} exceeds 15" in payload["message"]
+
+    @pytest.mark.parametrize("backend, kmax", [("torus", 8), ("toric1d", 15)])
+    def test_kmax_at_the_grid_limit_accepted(self, backend, kmax):
+        state = presets.build_initial(
+            backend, 16, {"preset": "random", "seed": 1, "kmax": kmax})
+        assert np.all(np.isfinite(state.values))
 
     @pytest.mark.parametrize("initial",
                              ["flat", 5, None, [["preset", "flat"]]])
@@ -807,9 +829,10 @@ def test_cross_process_determinism(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_scipy_is_imported_by_the_first_toric_factorization(tmp_path):
-    # scipy.linalg serves only the toric solve; importing it takes most
-    # of a CLI process's start-up, so torus runs and analyze never load it.
+def test_no_run_path_imports_scipy(tmp_path):
+    # numpy serves every solve; importing scipy would take most of a CLI
+    # process's start-up, so analyze, torus runs and toric steps never
+    # load it.
     script = """
 import sys
 from calabilab import cli, flow, presets, scale, traceio
@@ -817,10 +840,10 @@ trace = sys.argv[1] + "/a.trace"
 traceio.write_trace(scale.synthetic_trace("typeI", t_sing=6.0, t1=5.9), trace)
 assert cli.main(["analyze", trace, "--outdir", sys.argv[1]]) == 0
 assert cli.main(["run", sys.argv[2], "--outdir", sys.argv[1]]) == 0
-assert "scipy.linalg" not in sys.modules
-state = presets.build_initial("toric1d", 32, {"preset": "round"})
-flow.step(state, 1e-3)
-assert "scipy.linalg" in sys.modules
+state = presets.build_initial(
+    "toric1d", 32, {"preset": "random", "seed": 1, "amplitude": 0.2})
+assert flow.step(state, 1e-3).accepted
+assert "scipy" not in sys.modules
 """
     manifest = write_manifest(
         tmp_path, initial={"preset": "random", "seed": 9, "amplitude": 0.2})

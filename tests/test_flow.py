@@ -1,8 +1,7 @@
 """Flow engine: stepping, acceptance, adaptivity, determinism."""
 
-import gc
 import sys
-import weakref
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -25,6 +24,21 @@ def toric_state(seed=1, m=64, amp=0.3):
     return presets.build_initial(
         "toric1d", m, {"preset": "random", "seed": seed, "amplitude": amp}
     )
+
+
+def count_eigh(monkeypatch):
+    """Drop the toric tables, so every M starts afresh, and return the list
+    that records the matrix shape of each ``np.linalg.eigh`` call."""
+    monkeypatch.setattr(toric, "_CACHE", {})
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 class TestRhs:
@@ -140,10 +154,9 @@ class TestRun:
                 flow.resume(cfg, bad)
 
     def test_toric_resume_after_another_resolution_matches(self, tmp_path):
-        # The held factorization is keyed on (M, dt): a toric run at
-        # another M replaces it, and the resumed M=64 run must refactor
-        # and reproduce the full run's columns and final state bit for
-        # bit.
+        # The step's modes are kept per M: a toric run at another M in
+        # between must leave the resumed M=64 run reproducing the full
+        # run's columns and final state bit for bit.
         cfg = flow.FlowConfig(
             backend="toric1d", resolution=64, dt_init=1e-3, dt_min=1e-9,
             dt_max=0.05, t_end=0.4, sample_interval=0.05,
@@ -155,7 +168,6 @@ class TestRun:
             dt_max=0.05, t_end=0.01, sample_interval=0.01,
         )
         flow.run(other, toric_state(seed=6, m=128))
-        assert flow._toric_lu[0][0] == 128
         ckpt = traceio.read_checkpoint(tmp_path / "checkpoint_0001.ckpt")
         resumed = flow.resume(cfg, ckpt)
         rows = full.trace.columns["t"] > ckpt.state.t
@@ -218,38 +230,28 @@ class TestRun:
         assert result.reason.startswith("positivity lost at minimum step")
         assert len(result.trace) > 0  # partial trace retained
 
-    def test_toric_run_factors_once_per_step_size(self, monkeypatch):
-        # The implicit operator depends only on (M, dt): a run factors it
-        # once for each stretch of consecutive steps at one dt, and holds
-        # at most one factorization at a time.
-        monkeypatch.setattr(flow, "_toric_lu", (None, None))
-        factored = []
+    def test_toric_run_decomposes_once_per_resolution(self, monkeypatch):
+        # The implicit operator is diagonal in one eigenbasis per M: a run
+        # whose dt doubles several times does one eigh, and a second run
+        # at that M does none.
+        calls = count_eigh(monkeypatch)
         dts = []
-        lu_factor = flow.lu_factor
         step = flow.step
-
-        def counted_factor(a):
-            assert sum(ref() is not None for ref in factored) <= 1
-            lu = lu_factor(a)
-            factored.append(weakref.ref(lu[0]))
-            return lu
 
         def recorded_step(state, dt, **kwargs):
             dts.append(dt)
             return step(state, dt, **kwargs)
 
-        monkeypatch.setattr(flow, "lu_factor", counted_factor)
         monkeypatch.setattr(flow, "step", recorded_step)
         cfg = flow.FlowConfig(
             backend="toric1d", resolution=64, dt_init=1e-3, dt_min=1e-9,
             dt_max=0.05, t_end=0.5, sample_interval=0.25,
         )
         flow.run(cfg, toric_state())
-        stretches = 1 + sum(a != b for a, b in zip(dts, dts[1:]))
-        assert len(factored) == stretches
-        assert len(dts) > 2 * stretches
-        gc.collect()
-        assert sum(ref() is not None for ref in factored) <= 1
+        assert len(set(dts)) > 3
+        assert calls == [(64, 64)]
+        flow.run(cfg, toric_state(seed=2))
+        assert calls == [(64, 64)]
 
     def test_backend_mismatch_rejected(self):
         cfg = flow.FlowConfig(
@@ -298,17 +300,23 @@ class TestRun:
             par = list(pool.map(lambda s: flow.run(cfg, s).trace, states))
         assert seq == par
 
-    def test_concurrent_toric_steps_share_the_factorization(self):
-        # Threads stepping at different sizes replace the one held
-        # factorization under each other and solve with it at the same
-        # time; every update must still return the sequential bits.
-        state = toric_state(m=128)
+    def test_concurrent_first_toric_steps_share_the_modes(self,
+                                                          monkeypatch):
+        # Threads that step at once at a new M race on building its tables
+        # and modes; one eigh must serve them all, and every update must
+        # return the bits of a sequential first step.
+        m = 80  # used by no other test
+        state = toric_state(m=m)
         dts = (1e-3, 2e-3, 4e-3)
+        monkeypatch.setattr(toric, "_CACHE", {})
         want = {dt: flow._toric_implicit_step(state, dt).tobytes()
                 for dt in dts}
+        calls = count_eigh(monkeypatch)
+        start = threading.Barrier(8)
 
         def steps(k):
             order = dts[k % 3:] + dts[:k % 3]
+            start.wait(timeout=60)
             return [(dt, flow._toric_implicit_step(state, dt).tobytes())
                     for dt in order for _ in range(200)]
 
@@ -320,6 +328,7 @@ class TestRun:
                 got = [r for f in futures for r in f.result(timeout=120)]
         finally:
             sys.setswitchinterval(interval)
+        assert calls == [(m, m)]
         assert all(bits == want[dt] for dt, bits in got)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from calabilab import geometry, presets
+from calabilab import flow, geometry, presets
 from calabilab.errors import NonKahler
 from calabilab.geometry import toric
 
@@ -33,6 +33,34 @@ class TestChebyshevTables:
         o = toric.ops(48)
         assert abs(o.weights.sum() - 2.0) < 1e-14
         assert abs(o.weights @ o.x ** 4 - 2.0 / 5.0) < 1e-14
+
+
+class TestRoundStateModes:
+    @pytest.mark.parametrize("m", [64, 128, 512])
+    def test_spectrum_has_its_closed_form(self, m):
+        # The round-state operator (q^2 v'')'' has eigenvalues
+        # (l-1) l (l+1) (l+2) on degree-l polynomials: the two affine
+        # gauge modes at 0, then 24, 120, 360, 840 for l = 2..5.
+        _, lam, _ = toric.ops(m).modes
+        assert np.all(lam >= 0.0)
+        assert np.all(lam[:2] < 1e-6)
+        want = np.array([(l - 1) * l * (l + 1) * (l + 2) for l in range(2, 6)])
+        assert np.max(np.abs(lam[2:6] - want) / want) < 1e-6
+
+    def test_step_solves_the_implicit_system(self):
+        # The eigenbasis step against a dense solve of
+        # (W + dt K0) delta = dt W F, K0 = D2' diag(w q^2) D2; they agree
+        # to the conditioning of the dense system.
+        state = perturbed(64)
+        o = toric.ops(64)
+        k0 = o.d2.T @ ((o.weights * o.q * o.q)[:, None] * o.d2)
+        dt = 1e-2
+        f = flow.rhs(state).values
+        delta = np.linalg.solve(np.diag(o.weights) + dt * k0,
+                                dt * o.weights * f)
+        want = toric.strip_affine(state.values + delta)
+        got = flow._toric_implicit_step(state, dt)
+        assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(delta))
 
 
 class TestRoundState:
