@@ -62,7 +62,7 @@ def futaki(state, rows):
     s = geometry.scalar_curvature(state).values
     dev = s - geometry.average_scalar(state)
     return geometry.backend_module(state.backend).futaki_pairing(
-        geometry.base_field(state), dev, rows)
+        geometry.base_field(state), geometry.spectrum(state), dev, rows)
 
 
 def evolution_residual(s_prev, s_next, dt):
@@ -70,7 +70,8 @@ def evolution_residual(s_prev, s_next, dt):
 
     The time derivative is the centered quotient of the two curvatures;
     the spatial side is evaluated on the midpoint state (whose positivity
-    is implied by the endpoints': the density is affine in the potential).
+    is implied by the endpoints': the density is affine in the potential),
+    which takes its spectrum from the endpoints' cached ones.
     The per-backend spatial reductions are frozen in the geometry modules
     and validated against finite-difference oracles in the tests.
     """
@@ -78,7 +79,7 @@ def evolution_residual(s_prev, s_next, dt):
         raise ValueError("need two same-backend states and dt > 0")
     s0 = geometry.scalar_curvature(s_prev).values
     s1 = geometry.scalar_curvature(s_next).values
-    mid = s_prev.with_values(0.5 * (s_prev.values + s_next.values))
+    mid = geometry.midpoint(s_prev, s_next)
     spatial = geometry.backend_module(mid.backend).scalar_evolution(
         geometry.base_field(mid), geometry.scalar_curvature(mid).values)
     return float(np.max(np.abs((s1 - s0) / dt + spatial)))
@@ -88,16 +89,17 @@ def automorphism_gap(state, reference):
     """Order-2 Sobolev gap minimized over the backend's automorphisms.
 
     Torus: the exact minimum over all grid translations, from one spectral
-    correlation.  Toric: the smaller of the identity and the reflection
-    x -> -x.  Gauge-fixed on both sides, so the value vanishes identically
-    on pairs that differ by a pure gauge transformation.
+    correlation of the two states' cached spectra.  Toric: the smaller of
+    the identity and the reflection x -> -x.  Gauge-fixed on both sides,
+    so the value vanishes identically on pairs that differ by a pure gauge
+    transformation.
     """
     if state.backend != reference.backend:
         raise ValueError("states live on different backends")
     if state.resolution != reference.resolution:
         raise ValueError("states have different resolutions")
     return geometry.backend_module(state.backend).sobolev_gap(
-        state.values, reference.values)
+        geometry.spectrum(state), geometry.spectrum(reference))
 
 
 def sample(state, prev=None, dt=None, reference=None):
@@ -109,20 +111,24 @@ def sample(state, prev=None, dt=None, reference=None):
     empty when the torus scalar-potential solve cannot certify its
     tolerance at the state's resolution (the field is optional, and a
     rough transient must not abort a recording run).
+
+    The fields that read only what the step derived for ``state`` come
+    first, and the curvature norms and probes, which derive two more
+    arrays for it, last: that keeps the peak memory of a sample down.
     """
-    sup_s, sup_hess, sup_rm = geometry.curvature_norms(state)
-    sup_grad, sup_bihess = geometry.scalar_probes(state)
-    try:
-        fut = max(map(abs, futaki(state, basis_fields(state.backend))),
-                  default=0.0)
-    except SolverFailure:
-        fut = None
     evo = None
     if prev is not None:
         if dt is None:
             dt = state.t - prev.t
         evo = evolution_residual(prev, state, dt)
+    try:
+        fut = max(map(abs, futaki(state, basis_fields(state.backend))),
+                  default=0.0)
+    except SolverFailure:
+        fut = None
     gap = None if reference is None else automorphism_gap(state, reference)
+    sup_s, sup_hess, sup_rm = geometry.curvature_norms(state)
+    sup_grad, sup_bihess = geometry.scalar_probes(state)
     return DiagnosticsSample(
         t=float(state.t),
         sup_scalar=sup_s,

@@ -30,6 +30,10 @@ from .scale import Trace
 
 ACCEPT_STREAK = 8
 
+# ``run`` advances its sample and checkpoint cursors one interval at a
+# time, so a step of dt_max costs up to dt_max / interval additions.
+MAX_INTERVALS_PER_STEP = 2 ** 20
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -61,6 +65,16 @@ class FlowConfig:
             raise ValueError("sample_interval must be positive")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
+        for name in ("sample_interval", "checkpoint_interval"):
+            interval = getattr(self, name)
+            if interval > 0 and (
+                    self.t_end + interval == self.t_end
+                    or self.dt_max / interval > MAX_INTERVALS_PER_STEP):
+                raise ValueError(
+                    f"{name} {interval!r} is too small: it must move a "
+                    f"time of t_end {self.t_end!r}, and a step of dt_max "
+                    f"{self.dt_max!r} may span at most "
+                    f"{MAX_INTERVALS_PER_STEP} of it")
         ops.check_resolution(self.resolution)
 
     def initial_state(self):
@@ -115,17 +129,23 @@ def extremality_residual(state):
 def _torus_step(state, dt):
     """Updated phi of the semi-implicit spectral step.
 
-    The flat bi-Laplacian is implicit, the remainder explicit and 2/3-rule
-    dealiased; the remainder reads the state's cached S.
+    The flat bi-Laplacian is implicit, the remainder S + lap0^2 phi
+    explicit and 2/3-rule dealiased.  Both are formed from the state's
+    cached spectra phi_hat and S_hat, so the step's only transform is the
+    inverse one; the new state transforms its own values again, which
+    keeps every cached spectrum the transform of a state's values.
     """
-    phi = state.values
-    explicit = geometry.scalar_curvature(state).values + torus.bilap0(phi)
-    _, _, k2, mask = torus._ops(phi.shape[0])
-    fh = np.fft.rfft2(phi)
-    nh = np.fft.rfft2(explicit) * mask
-    out = (fh + dt * nh) / (1.0 + dt * k2 * k2)
+    phi_hat = geometry.spectrum(state)
+    _, _, k2, mask = torus._ops(phi_hat.shape[0])
+    k4 = k2 * k2
+    out = k4 * phi_hat
+    out += geometry.scalar_spectrum(state)
+    out *= mask
+    out *= dt
+    out += phi_hat
+    out /= 1.0 + dt * k4
     out[0, 0] = 0.0
-    return np.fft.irfft2(out, s=phi.shape)
+    return np.fft.irfft2(out, s=state.values.shape)
 
 
 def lu_factor(a):
@@ -188,8 +208,8 @@ def step(state, dt, energy_tol=0.0):
     if dt <= 0:
         raise ValueError("dt must be positive")
     ca_old = geometry.calabi_energy(state)
-    new_vals = _UPDATES[state.backend](state, dt)
-    new_state = state.with_values(new_vals, t=state.t + dt)
+    new_state = state.with_values(_UPDATES[state.backend](state, dt),
+                                  t=state.t + dt)
     ca_new = geometry.calabi_energy(new_state)
     delta = ca_new - ca_old
     accepted = bool(delta <= energy_tol) and bool(np.isfinite(ca_new))
@@ -267,6 +287,9 @@ def run(cfg, state0, checkpoint_dir=None, on_accept=None, engine=None):
             engine.dt = max(0.5 * engine.dt, cfg.dt_min)
             engine.streak = 0
             continue
+        # From here on the step's start state is read only as the sample's
+        # ``prev``: its values, spectrum and S.
+        geometry.forget(state, "base", "scalar_spectrum", "lap_scalar")
         prev = state
         state = res.new_state
         current_ca = res.energy_after

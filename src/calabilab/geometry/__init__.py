@@ -14,15 +14,21 @@ and the Calabi energy are written once here, over the backend's
 ``laplacian``, ``grad_norm`` and ``integral``.
 
 A state is a backend name, the backend's value grid (torus phi, toric v)
-and the flow time.  It derives four things on first use and keeps them:
+and the flow time.  It derives six things on first use and keeps them:
+the spectrum of its values (the form the backend's differential kernels
+read: the torus rfft2 half-spectrum, the toric nodal values themselves),
 its base field (torus h = 1 + lap0(phi), toric 1 + (1-x^2) v''), its
-scalar curvature S, lap_g S (the curvature norms and the smoothing probes
-both read it) and its Calabi energy.  Every caller reads these, so each is
-computed once per state.  The cached arrays are read-only and take
-no part in equality or ``repr``.  States are otherwise immutable value
-objects, and every operation is a pure function of its inputs and safe to
-call concurrently: a cache fill is idempotent, so two threads that fill
-the same entry store the same bits.
+scalar curvature S, the spectrum of S, lap_g S (the curvature norms and
+the smoothing probes both read it) and its Calabi energy.  Every caller
+reads these, so each is computed once per state.  A cached spectrum is
+always the transform of the state's own values, or for a ``midpoint`` the
+mean of its two ends' spectra, so a state read back from a checkpoint
+derives the same bits as the one that was written.  A caller that keeps
+a state for only some of these can ``forget`` the others.  The cached
+arrays are read-only and take no part in equality or ``repr``.  States are
+otherwise immutable value objects, and every operation is a pure function
+of its inputs and safe to call concurrently: a cache fill is idempotent,
+so two threads that fill the same entry store the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -154,6 +160,10 @@ def _ops(state):
     return _MODULES[state.backend]
 
 
+_DERIVED = ("spectrum", "base", "scalar", "scalar_spectrum", "lap_scalar",
+            "energy")
+
+
 def _derive(state, key, compute):
     """``compute(state)``, kept in the state's cache; arrays read-only."""
     value = state._derived.get(key)
@@ -165,9 +175,46 @@ def _derive(state, key, compute):
     return value
 
 
+def forget(state, *keys):
+    """Drop derived quantities a caller will not read again from the
+    state's cache, which frees their arrays.
+
+    The keys are the cache's: ``spectrum``, ``base``, ``scalar``,
+    ``scalar_spectrum``, ``lap_scalar`` and ``energy``.  A dropped
+    quantity that is read after all is derived again, to the same bits.
+    """
+    unknown = set(keys) - set(_DERIVED)
+    if unknown:
+        raise ValueError(f"no derived quantities {sorted(unknown)}")
+    for key in keys:
+        state._derived.pop(key, None)
+
+
+def spectrum(state):
+    """The backend's transform of the state's values (torus phi_hat)."""
+    return _derive(state, "spectrum", lambda st: _ops(st).spectrum(st.values))
+
+
+def midpoint(a, b):
+    """The state halfway between two states of one backend, at a's time.
+
+    The transform is linear, so the mean of the two cached spectra is the
+    midpoint's spectrum and no new transform is taken.
+    """
+    mid = a.with_values(0.5 * (a.values + b.values))
+
+    def mean_spectrum(_):
+        out = spectrum(a) + spectrum(b)
+        out *= 0.5
+        return out
+
+    _derive(mid, "spectrum", mean_spectrum)
+    return mid
+
+
 def _checked_base(state):
     ops = _ops(state)
-    base = ops.base_field(state.values)
+    base = ops.base_field(spectrum(state))
     # Written so that non-finite values also fail.
     if not (base.min() > POSITIVITY_FLOOR):
         raise NonKahler(f"{ops.BASE_NAME} min {base.min():.3e} <= floor "
@@ -193,6 +240,12 @@ def scalar_curvature(state):
     return ScalarField(_scalar(state), state.backend)
 
 
+def scalar_spectrum(state):
+    """The backend's transform of S (torus S_hat)."""
+    return _derive(state, "scalar_spectrum",
+                   lambda st: _ops(st).spectrum(_scalar(st)))
+
+
 def average_scalar(state):
     """Topological mean of S: 0 on the torus, 2 on the toric reduction."""
     return _ops(state).average_scalar(base_field(state))
@@ -215,7 +268,7 @@ def calabi_energy(state):
 def _lap_scalar(state):
     """lap_g S, read by both the curvature norms and the smoothing probes."""
     return _derive(state, "lap_scalar", lambda st: _ops(st).laplacian(
-        base_field(st), _scalar(st)))
+        base_field(st), scalar_spectrum(st)))
 
 
 def curvature_norms(state):
@@ -239,8 +292,8 @@ def scalar_probes(state):
     Hessian norm in the smoothing-rate probes.
     """
     ops, base = _ops(state), base_field(state)
-    sup_grad = float(np.max(ops.grad_norm(base, _scalar(state))))
-    bilap = ops.laplacian(base, _lap_scalar(state))
+    sup_grad = float(np.max(ops.grad_norm(base, scalar_spectrum(state))))
+    bilap = ops.laplacian(base, ops.spectrum(_lap_scalar(state)))
     return sup_grad, 0.25 * float(np.max(np.abs(bilap)))
 
 

@@ -144,6 +144,15 @@ def ops(m):
     return o
 
 
+def spectrum(f):
+    """The form the kernels below read a field in: its nodal values.
+
+    Collocation matrices act on nodal values, so this backend keeps its
+    nodal path and a field is its own spectrum.
+    """
+    return f
+
+
 def base_field(v):
     """Positivity 1 + (1-x^2) v'': positive iff u'' > 0 on the interior."""
     o = ops(v.shape[0])
@@ -255,11 +264,12 @@ def sobolev_gap(v_a, v_b):
     return float(np.sqrt(best))
 
 
-def futaki_pairing(p, dev, rows):
+def futaki_pairing(p, v, dev, rows):
     """c int x (S - S_bar) dx for each multiple c of the circle generator.
 
-    ``dev`` is S - S_bar.  The generator's Hamiltonian is the moment
-    coordinate x, so the pairing is exact quadrature and needs no solve.
+    ``dev`` is S - S_bar; the state's ``v`` is not read.  The generator's
+    Hamiltonian is the moment coordinate x, so the pairing is exact
+    quadrature and needs no solve.
     """
     hamiltonian = integral(p, ops(p.shape[0]).x * dev)
     return tuple(c * hamiltonian for (c,) in rows)

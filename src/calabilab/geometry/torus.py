@@ -21,7 +21,9 @@ logarithms act on nodal values, which keeps the integral identities
 
 exact to rounding: both reduce to the vanishing of the zero mode of a
 spectral Laplacian.  The state-dependent entries take h itself, the base
-field that ``geometry`` derives once per state.
+field that ``geometry`` derives once per state, and the differential
+kernels take the rfft2 spectrum of the field they differentiate
+(``spectrum``), which ``geometry`` also keeps per state for phi and S.
 """
 
 from numbers import Integral
@@ -74,44 +76,41 @@ def _ops(n):
     return ops
 
 
+def spectrum(f):
+    """The rfft2 half-spectrum the derivative kernels below read."""
+    return np.fft.rfft2(f)
+
+
+def _nodal(spec, n):
+    return np.fft.irfft2(spec, s=(n, n))
+
+
 def lap0(f):
     """Flat spectral Laplacian with negative spectrum."""
     n = f.shape[0]
     _, _, k2, _ = _ops(n)
-    return np.fft.irfft2(-k2 * np.fft.rfft2(f), s=f.shape)
+    f_hat = spectrum(f)
+    f_hat *= -k2
+    return _nodal(f_hat, n)
 
 
-def lap0_inv(f):
-    """Solve lap0(u) = f for the zero-mean u (zero mode of f is dropped)."""
-    n = f.shape[0]
-    _, _, k2, _ = _ops(n)
-    fh = np.fft.rfft2(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uh = fh / (-k2)
-    uh[0, 0] = 0.0
-    return np.fft.irfft2(uh, s=f.shape)
-
-
-def grad0(f):
-    """Flat spectral gradient (f_x, f_y)."""
-    n = f.shape[0]
+def _grad0(f_hat):
+    """Flat spectral gradient (f_x, f_y) from the spectrum of f."""
+    n = f_hat.shape[0]
     kx, ky, _, _ = _ops(n)
-    fh = np.fft.rfft2(f)
-    fx = np.fft.irfft2(1j * kx[:, None] * fh, s=f.shape)
-    fy = np.fft.irfft2(1j * ky[None, :] * fh, s=f.shape)
+    fx = _nodal(1j * kx[:, None] * f_hat, n)
+    fy = _nodal(1j * ky[None, :] * f_hat, n)
     return fx, fy
 
 
-def bilap0(f):
-    """Flat spectral bi-Laplacian lap0(lap0(f))."""
-    n = f.shape[0]
+def base_field(phi_hat):
+    """Conformal density h = 1 + lap0(phi) from the spectrum of phi; Kahler
+    where h is positive."""
+    n = phi_hat.shape[0]
     _, _, k2, _ = _ops(n)
-    return np.fft.irfft2(k2 * k2 * np.fft.rfft2(f), s=f.shape)
-
-
-def base_field(phi):
-    """Conformal density h = 1 + lap0(phi); Kahler where h is positive."""
-    return 1.0 + lap0(phi)
+    h = _nodal(-k2 * phi_hat, n)
+    h += 1.0
+    return h
 
 
 def scalar_curvature(phi, h):
@@ -119,18 +118,28 @@ def scalar_curvature(phi, h):
 
     It depends on phi only through h.
     """
-    return -lap0(np.log(h)) / h
+    s = lap0(np.log(h))
+    s /= h
+    return np.negative(s, out=s)
 
 
-def laplacian(h, f):
-    """Metric Laplacian lap_g f = lap0(f) / h."""
-    return lap0(f) / h
+def laplacian(h, f_hat):
+    """Metric Laplacian lap_g f = lap0(f) / h from the spectrum of f."""
+    _, _, k2, _ = _ops(h.shape[0])
+    lap = _nodal(-k2 * f_hat, h.shape[0])
+    lap /= h
+    return lap
 
 
-def grad_norm(h, f):
-    """Pointwise metric gradient norm |grad f|_g = sqrt(|grad0 f|^2 / h)."""
-    fx, fy = grad0(f)
-    return np.sqrt((fx * fx + fy * fy) / h)
+def grad_norm(h, f_hat):
+    """Pointwise metric gradient norm |grad f|_g = sqrt(|grad0 f|^2 / h)
+    from the spectrum of f."""
+    fx, fy = _grad0(f_hat)
+    fx *= fx
+    fy *= fy
+    fx += fy
+    fx /= h
+    return np.sqrt(fx, out=fx)
 
 
 def cell_area(n):
@@ -166,8 +175,13 @@ def scalar_evolution(h, s):
     with dS/dt vanishes on exact solutions.  The reduction is frozen here
     and validated against a finite-difference oracle in the tests.
     """
-    lg_s = laplacian(h, s)
-    return laplacian(h, lg_s) + s * lg_s
+    lg_s = lap0(s)
+    lg_s /= h
+    out = lap0(lg_s)
+    out /= h
+    lg_s *= s
+    out += lg_s
+    return out
 
 
 def extremality_residual(h, s):
@@ -177,7 +191,7 @@ def extremality_residual(h, s):
     (S_x + i S_y) / h; the residual vanishes exactly when that field is
     holomorphic, which characterizes extremal states.
     """
-    sx, sy = grad0(s)
+    sx, sy = _grad0(spectrum(s))
     xz = (sx + 1j * sy) / h
     xh = np.fft.fft2(xz)
     n = h.shape[0]
@@ -193,60 +207,88 @@ def poisson_solve(h, rhs):
 
     The metric Laplacian factors exactly through the flat operator in this
     reduction: lap_g f = lap0(f)/h, so a single spectral inversion of
-    h * rhs is the whole solve.  Returns (f, residual_sup).
+    h * rhs is the whole solve.  Returns (f_hat, residual_sup), f_hat the
+    spectrum of f and the residual evaluated on the grid.
     """
+    n = h.shape[0]
+    _, _, k2, _ = _ops(n)
     data = h * rhs
-    data = data - data.mean()
-    f = lap0_inv(data)
-    resid = float(np.max(np.abs(laplacian(h, f) - data / h)))
-    return f, resid
+    data -= data.mean()
+    f_hat = spectrum(data)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_hat /= -k2
+    f_hat[0, 0] = 0.0
+    resid = laplacian(h, f_hat)
+    data /= h
+    resid -= data
+    return f_hat, float(np.max(np.abs(resid)))
 
 
-def sobolev_gap(phi_a, phi_b):
+def sobolev_gap(a_hat, b_hat):
     """Order-2 Sobolev norm of the potential gap, minimized over the grid
-    translations of phi_a.
+    translations of the first potential; both are given as spectra.
 
     One spectral cross-correlation gives the squared gap at all n^2 grid
     translations at once; the untranslated value is taken directly, so
     identical grids give exactly 0.  The result bounds the infimum over
-    continuous translations from above and equals it whenever phi_b is
-    translation-invariant (the zero state).
+    continuous translations from above and equals it whenever the second
+    potential is translation-invariant (the zero state).
     """
-    n = phi_a.shape[0]
+    n = a_hat.shape[0]
     _, _, k2, _ = _ops(n)
     wgt = (1.0 + k2) ** 2
-    fa = np.fft.rfft2(phi_a)
-    fb = np.fft.rfft2(phi_b)
     # Parseval normalization: the norm is (2pi)^-2 int of the weighted
     # spectrum.  irfft2 reconstructs the conjugate half of the spectrum
     # itself, so the plain inverse transform sums the full correlation.
-    diag = _weighted_power(wgt, fa, n) + _weighted_power(wgt, fb, n)
-    cross = np.fft.irfft2(wgt * fa * np.conj(fb), s=(n, n)) / (n * n)
-    grid = max(float(np.min(diag - 2.0 * cross)), 0.0)  # rounding floor
-    return float(np.sqrt(min(grid, _weighted_power(wgt, fa - fb, n))))
+    diag = _weighted_power(wgt, a_hat, n) + _weighted_power(wgt, b_hat, n)
+    cross = _nodal(wgt * a_hat * np.conj(b_hat), n)
+    cross /= n * n
+    cross *= -2.0
+    cross += diag
+    grid = max(float(np.min(cross)), 0.0)  # rounding floor
+    return float(np.sqrt(min(grid, _weighted_power(wgt, a_hat - b_hat, n))))
 
 
-def _weighted_power(wgt, spec, n):
+def _half_weights(n):
+    """How often each rfft2 column stands in the full spectrum (1 or 2)."""
     dup = np.ones(n // 2 + 1)
     dup[1:] = 2.0
     if n % 2 == 0:
         dup[-1] = 1.0
+    return dup
+
+
+def _weighted_power(wgt, spec, n):
+    dup = _half_weights(n)
     return float(np.sum(wgt * dup[None, :] * np.abs(spec) ** 2)) / (n * n) ** 2
 
 
-def futaki_pairing(h, dev, rows):
+def futaki_pairing(h, phi_hat, dev, rows):
     """int V(f) dV for each constant field V = a d/dx + b d/dy in rows,
     where lap_g f = dev = S - S_bar; SolverFailure unless the solve's
     residual is within FUTAKI_TOL * max(1, sup |dev|).
+
+    The integral is a sum over modes (Parseval): V(f) has the spectrum
+    i (a k_x + b k_y) f_hat and h the spectrum n^2 delta_0 - k^2 phi_hat.
+    V(f) has no constant mode, so only -k^2 phi_hat pairs with it, and
+    Re(i k f_hat conj(-k^2 phi_hat)) = k k^2 Im(f_hat conj(phi_hat)).
     """
-    f, resid = poisson_solve(h, dev)
+    f_hat, resid = poisson_solve(h, dev)
     if resid > FUTAKI_TOL * max(1.0, float(np.max(np.abs(dev)))):
         raise SolverFailure(
             f"scalar potential solve residual {resid:.3e} exceeds "
             f"{FUTAKI_TOL:.1e}"
         )
-    fx, fy = grad0(f)
-    return tuple(integral(h, a * fx + b * fy) for a, b in rows)
+    n = h.shape[0]
+    kx, ky, k2, _ = _ops(n)
+    cross = f_hat.imag * phi_hat.real
+    cross -= f_hat.real * phi_hat.imag
+    cross *= k2
+    cross *= _half_weights(n)
+    scale = cell_area(n) / (n * n)
+    px = scale * float(kx @ cross.sum(axis=1))
+    py = scale * float(cross.sum(axis=0) @ ky)
+    return tuple(float(a * px + b * py) for a, b in rows)
 
 
 def _seeded_potential(n, seed, amplitude, cut, decay):

@@ -12,7 +12,7 @@ from calabilab.errors import BadParams, SchemaMismatch
 
 INTERFACE = (
     "FLOW_SIGN", "FIELD_DIM", "ZERO_PRESET", "BASE_NAME", "check_resolution",
-    "grid_shape", "check_gauge", "base_field", "scalar_curvature",
+    "grid_shape", "check_gauge", "spectrum", "base_field", "scalar_curvature",
     "average_scalar", "volume", "laplacian", "grad_norm", "integral",
     "scalar_evolution", "extremality_residual", "sobolev_gap",
     "futaki_pairing", "random_potential", "rough_potential",
@@ -148,6 +148,26 @@ def test_derived_fields_are_cached_read_only_and_fresh(backend):
     assert ca > 0.0
 
 
+def test_forgotten_quantities_are_derived_again_to_the_same_bits(backend):
+    state = perturbed(backend)
+    geometry.curvature_norms(state)
+    geometry.scalar_probes(state)
+    kept = [geometry.spectrum(state), geometry.base_field(state),
+            geometry.scalar_spectrum(state), geometry.curvature_norms(state),
+            geometry.scalar_probes(state)]
+    geometry.forget(state, "base", "scalar_spectrum", "lap_scalar")
+    again = [geometry.spectrum(state), geometry.base_field(state),
+             geometry.scalar_spectrum(state), geometry.curvature_norms(state),
+             geometry.scalar_probes(state)]
+    assert again[0] is kept[0]
+    assert again[1] is not kept[1]
+    for old, new in zip(kept[1:3], again[1:3]):
+        assert new.tobytes() == old.tobytes()
+    assert again[3:] == kept[3:]
+    with pytest.raises(ValueError, match="lap_s"):
+        geometry.forget(state, "lap_s")
+
+
 def test_state_keeps_its_own_copy_of_the_grid(backend):
     # A state built from the caller's array, or from a view of it, holds
     # its own read-only copy: the caller's array stays writable, and later
@@ -200,9 +220,10 @@ FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
 
 
 def test_torus_step_fft_budget(monkeypatch):
-    # A step reads h, S and the energy of its state from the cache and
-    # derives them once for the new state: 5 transforms for the update,
-    # 2 for the new density, 2 for the new S.
+    # A step forms its update from the state's cached spectra of phi and
+    # S and derives the new state's once: 1 transform for the state's
+    # S_hat (a sample has usually derived it already), 1 for the update,
+    # 1 for the new phi_hat, 1 for the new density and 2 for the new S.
     state = presets.build_initial(
         geometry.TORUS, 32, {"preset": "random", "seed": 3,
                              "amplitude": 0.3})
@@ -218,4 +239,4 @@ def test_torus_step_fft_budget(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     res = flow.step(state, 1e-4)
     assert res.accepted
-    assert len(calls) <= 9
+    assert len(calls) <= 6

@@ -429,6 +429,28 @@ class TestDamagedInputs:
         assert payload["error_class"] == "CorruptFile"
         assert key in payload["message"]
 
+    @pytest.mark.parametrize("field", ["sample_interval",
+                                       "checkpoint_interval"])
+    def test_interval_below_the_float_spacing_is_refused(self, tmp_path,
+                                                         field):
+        # Such an interval used to spin run's cursor catch-up loop
+        # forever, so the run is a child process under a timeout.
+        manifest = write_manifest(
+            tmp_path, config={"t_end": 0.01, "dt_max": 0.1, field: 1e-300})
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "calabilab", "run", manifest, "--outdir",
+             str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error_class"] == "BadParams"
+        assert field in payload["message"]
+
     def test_missing_checkpoint_for_resume(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.ckpt"
         code, payload = one_line_error(

@@ -70,10 +70,13 @@ class TestSample:
         assert rec.aut_gap is not None and rec.aut_gap > 0
 
     def test_one_pass_per_sample(self, monkeypatch):
-        # A sample solves the Futaki Poisson equation once for all basis
-        # fields and computes lap_g S once: 25 FFTs for a torus sample with
-        # every field filled (it was 34).  The step already computed the
-        # new state's base field and S.
+        # A sample reads the state's cached spectra: S_hat once for lap_g S
+        # and grad S (1), lap_g S (1), grad S (2), lap_g lap_g S (2), the
+        # Futaki solve and its residual (2), the midpoint's density, S and
+        # evolution side from the mean of the two cached spectra (7) and
+        # the gap's correlation (1): 16, plus 1 for this test's fresh
+        # reference's spectrum, which a run computes once (it was 25).  The
+        # step already computed the new state's spectrum, base field and S.
         state = torus_state(n=64)
         res = flow.step(state, 1e-5)
         assert res.accepted
@@ -87,7 +90,7 @@ class TestSample:
         rec = diagnostics.sample(res.new_state, prev=state, dt=1e-5,
                                  reference=geometry.flat_state(64))
         monkeypatch.undo()
-        assert len(calls) <= 25
+        assert len(calls) <= 17
         pairings = diagnostics.futaki(res.new_state,
                                       diagnostics.basis_fields("torus"))
         assert len(pairings) == 2
@@ -107,13 +110,14 @@ class TestEvolutionResidual:
         # frozen spatial reduction; the defect is far below either term.
         state = torus_state(amp=0.3, kmax=3)
         phi = state.values
-        h = torus.base_field(phi)
+        h = torus.base_field(torus.spectrum(phi))
         direction = torus.scalar_curvature(phi, h)
         eps = 1e-7
 
         def s_of(p):
             p = p - p.mean()
-            return torus.scalar_curvature(p, torus.base_field(p))
+            return torus.scalar_curvature(
+                p, torus.base_field(torus.spectrum(p)))
 
         ds = (s_of(phi + eps * direction) - s_of(phi - eps * direction)) \
             / (2 * eps)
@@ -175,6 +179,31 @@ class TestFutaki:
         with pytest.raises(ValueError):
             diagnostics.futaki(geometry.round_state(32), [(1.0, 0.0)])
 
+    def test_torus_pairing_is_the_nodal_quadrature(self):
+        # The class invariant is 0 for every torus state, so pair data
+        # that is not S - S_bar: the sum over modes must match the
+        # quadrature of V(f) h on the grid, f from a full-spectrum solve.
+        n = 32
+        phi = torus.random_potential(n, 3, 0.5, kmax=6)
+        h = torus.base_field(torus.spectrum(phi))
+        x = 2.0 * np.pi * np.arange(n) / n
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        dev = np.sin(xx + 2.0 * yy) + 0.3 * np.cos(3.0 * xx) * np.sin(yy)
+        dev -= np.sum(dev * h) / np.sum(h)
+        rows = ((1.0, 0.0), (0.0, 1.0), (0.3, -2.0))
+        got = torus.futaki_pairing(h, torus.spectrum(phi), dev, rows)
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        k2 = k[:, None] ** 2 + k[None, :] ** 2
+        fh = np.fft.fft2(h * dev - np.mean(h * dev))
+        fh[k2 > 0] /= -k2[k2 > 0]
+        fh[0, 0] = 0.0
+        fx = np.fft.ifft2(1j * k[:, None] * fh).real
+        fy = np.fft.ifft2(1j * k[None, :] * fh).real
+        for (a, b), val in zip(rows, got):
+            want = torus.cell_area(n) * np.sum((a * fx + b * fy) * h)
+            assert abs(want) > 1e-3
+            assert val == pytest.approx(want, rel=1e-12)
+
     def test_uncertifiable_solve_raises(self, monkeypatch):
         # A torus potential solve whose residual is above the certified
         # tolerance raises, and the sample record degrades instead of
@@ -197,10 +226,11 @@ class TestFutaki:
     def test_toric_pairing_is_the_hamiltonian_moment(self):
         # The circle generator's Hamiltonian is x, so S - S_bar = x pairs
         # to c int x^2 dx = 2c/3.
-        p = geometry.base_field(geometry.round_state(128))
+        rnd = geometry.round_state(128)
+        p = geometry.base_field(rnd)
         x = toric.ops(128).x
         for c in (1.0, -2.5, 0.3):
-            (val,) = toric.futaki_pairing(p, x, [(c,)])
+            (val,) = toric.futaki_pairing(p, rnd.values, x, [(c,)])
             assert abs(val - 2.0 * c / 3.0) < 1e-14
 
     @pytest.mark.parametrize("m", [128, 512])

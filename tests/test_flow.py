@@ -1,5 +1,6 @@
 """Flow engine: stepping, acceptance, adaptivity, determinism."""
 
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -332,6 +333,62 @@ class TestRun:
         assert all(bits == want[dt] for dt, bits in got)
 
 
+class TestSpectrumPurity:
+    # A cached spectrum is always the transform of the state's own values
+    # (or, for a midpoint, the mean of two such), never the step's own
+    # spectral update: a resumed run transforms the values it reads, so
+    # it must derive the same bits as the run that wrote them.
+    @staticmethod
+    def same_bits(a, b):
+        return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_cached_spectrum_is_the_transform_of_the_values(
+            self, monkeypatch):
+        state = torus_state(n=32)
+        new = flow.step(state, 1e-4).new_state
+        moved = new.with_values(np.roll(new.values, 3, axis=0))
+        golden = os.path.join(os.path.dirname(__file__), "golden",
+                              "checkpoint_v2.ckpt")
+        read = traceio.read_checkpoint(golden).state
+        calls = []
+        rfft2 = np.fft.rfft2
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rfft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft2", counted)
+        cached = geometry.spectrum(new)
+        assert calls == []  # the step derived it for the new state
+        monkeypatch.undo()
+        assert self.same_bits(cached, np.fft.rfft2(new.values))
+        for st in (moved, read):
+            assert self.same_bits(geometry.spectrum(st),
+                                  np.fft.rfft2(st.values))
+        mid = geometry.midpoint(state, new)
+        assert self.same_bits(geometry.spectrum(mid), 0.5 * (
+            np.fft.rfft2(state.values) + np.fft.rfft2(new.values)))
+
+    def test_torus_resume_matches_the_full_run(self, tmp_path):
+        cfg = flow.FlowConfig(
+            backend="torus", resolution=64, dt_init=1e-3, dt_min=1e-8,
+            dt_max=0.1, t_end=0.6, sample_interval=0.05,
+            checkpoint_interval=0.2,
+        )
+        full = flow.run(cfg, torus_state(seed=11, n=64),
+                        checkpoint_dir=str(tmp_path))
+        ckpt = traceio.read_checkpoint(tmp_path / "checkpoint_0001.ckpt")
+        resumed = flow.resume(cfg, ckpt)
+        rows = full.trace.columns["t"] > ckpt.state.t
+        assert rows.sum() == len(resumed.trace) > 0
+        for name, col in resumed.trace.columns.items():
+            assert self.same_bits(col, full.trace.columns[name][rows]), name
+        for name, mask in resumed.trace.absent.items():
+            assert np.array_equal(mask, full.trace.absent[name][rows])
+        assert (resumed.final_state.values.tobytes()
+                == full.final_state.values.tobytes())
+
+
 class TestConfigValidation:
     def test_dt_ordering(self):
         with pytest.raises(ValueError):
@@ -363,6 +420,24 @@ class TestConfigValidation:
         spec[field] = value
         with pytest.raises(ValueError):
             flow.FlowConfig(**spec)
+
+    @pytest.mark.parametrize("field", ["sample_interval",
+                                       "checkpoint_interval"])
+    def test_intervals_the_cursors_can_advance_by(self, field):
+        # run advances its cursors one interval at a time: an interval
+        # below the float spacing at t_end never moves them, and one far
+        # below dt_max takes millions of additions per step.
+        spec = dict(backend="torus", resolution=32, dt_init=1e-3,
+                    dt_min=1e-4, dt_max=0.1, t_end=1.0, sample_interval=0.1)
+        for value, t_end in ((1e-300, 1.0), (0.1 / 2 ** 20 / 2, 1.0),
+                             (1.0, 1e20)):
+            bad = dict(spec, t_end=t_end, sample_interval=1e5)
+            bad[field] = value
+            with pytest.raises(ValueError, match=f"{field} .* too small"):
+                flow.FlowConfig(**bad)
+        edge = 0.1 / flow.MAX_INTERVALS_PER_STEP
+        assert getattr(flow.FlowConfig(**dict(spec, **{field: edge})),
+                       field) == edge
 
     @pytest.mark.parametrize("spec, want", [
         (dict(backend="torus", resolution=32, dt_init=1e-3, dt_min=1e-4,
