@@ -68,21 +68,26 @@ def futaki(state, rows):
 def evolution_residual(s_prev, s_next, dt):
     """Sup-norm defect of the scalar-curvature evolution identity.
 
-    The time derivative is the centered quotient of the two curvatures;
-    the spatial side is evaluated on the midpoint state (whose positivity
-    is implied by the endpoints': the density is affine in the potential),
-    which takes its spectrum from the endpoints' cached ones.
-    The per-backend spatial reductions are frozen in the geometry modules
-    and validated against finite-difference oracles in the tests.
+    The trapezoid rule over the step, max |(S1 - S0) / dt + (E0 + E1) / 2|,
+    second order in dt: E is the backend's spatial side of dS/dt + E = 0,
+    which each state keeps (``geometry.scalar_evolution``), so a sampled
+    state costs nothing as the next sample's ``s_prev``.  The per-backend
+    spatial reductions are frozen in the geometry modules and validated
+    against finite-difference oracles in the tests.  ValueError unless the
+    states share a backend and a resolution and dt is finite and > 0.
     """
-    if s_prev.backend != s_next.backend or dt <= 0:
-        raise ValueError("need two same-backend states and dt > 0")
-    s0 = geometry.scalar_curvature(s_prev).values
-    s1 = geometry.scalar_curvature(s_next).values
-    mid = geometry.midpoint(s_prev, s_next)
-    spatial = geometry.backend_module(mid.backend).scalar_evolution(
-        geometry.base_field(mid), geometry.scalar_curvature(mid).values)
-    return float(np.max(np.abs((s1 - s0) / dt + spatial)))
+    if s_prev.backend != s_next.backend:
+        raise ValueError("states live on different backends")
+    if s_prev.resolution != s_next.resolution:
+        raise ValueError("states have different resolutions")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and > 0, not {dt!r}")
+    out = geometry.scalar_curvature(s_next).values - \
+        geometry.scalar_curvature(s_prev).values
+    out /= dt
+    out += 0.5 * (geometry.scalar_evolution(s_prev)
+                  + geometry.scalar_evolution(s_next))
+    return float(np.max(np.abs(out)))
 
 
 def automorphism_gap(state, reference):
@@ -113,20 +118,22 @@ def sample(state, prev=None, dt=None, reference=None):
     rough transient must not abort a recording run).
 
     The fields that read only what the step derived for ``state`` come
-    first, and the curvature norms and probes, which derive two more
-    arrays for it, last: that keeps the peak memory of a sample down.
+    first, which keeps the peak memory of a sample down.  The evolution
+    residual then derives lap_g S, lap_g(lap_g S) and E for ``state`` (and
+    for ``prev`` if no one did), and the norms and probes reuse the first
+    two: 8 FFTs on the torus when ``prev`` has its E.
     """
-    evo = None
-    if prev is not None:
-        if dt is None:
-            dt = state.t - prev.t
-        evo = evolution_residual(prev, state, dt)
     try:
         fut = max(map(abs, futaki(state, basis_fields(state.backend))),
                   default=0.0)
     except SolverFailure:
         fut = None
     gap = None if reference is None else automorphism_gap(state, reference)
+    evo = None
+    if prev is not None:
+        if dt is None:
+            dt = state.t - prev.t
+        evo = evolution_residual(prev, state, dt)
     sup_s, sup_hess, sup_rm = geometry.curvature_norms(state)
     sup_grad, sup_bihess = geometry.scalar_probes(state)
     return DiagnosticsSample(

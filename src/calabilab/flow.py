@@ -255,6 +255,7 @@ def run(cfg, state0, checkpoint_dir=None, on_accept=None, engine=None):
             diagnostics.sample(cur, prev=prev, dt=dt_used, reference=reference)
         )
         last_sample_t = cur.t
+        geometry.forget(cur, "lap_scalar", "bilap_scalar")
 
     if not resumed and engine.next_sample_t <= state.t:
         emit(state, None, None)
@@ -288,10 +289,15 @@ def run(cfg, state0, checkpoint_dir=None, on_accept=None, engine=None):
             engine.streak = 0
             continue
         # From here on the step's start state is read only as the sample's
-        # ``prev``: its values, spectrum and S.
-        geometry.forget(state, "base", "scalar_spectrum", "lap_scalar")
-        prev = state
-        state = res.new_state
+        # ``prev``, for its S and E.  When a sample is due, E is derived now
+        # (unless a sample of the state did) while the state's base field
+        # and S_hat are still cached; the rest of the cache is dropped.
+        prev, state = state, res.new_state
+        sampled = state.t >= engine.next_sample_t
+        if sampled:
+            geometry.scalar_evolution(prev)
+        geometry.forget(prev, "spectrum", "base", "scalar_spectrum",
+                        "lap_scalar", "bilap_scalar")
         current_ca = res.energy_after
         engine.streak += 1
         if on_accept is not None:
@@ -299,7 +305,7 @@ def run(cfg, state0, checkpoint_dir=None, on_accept=None, engine=None):
         if engine.streak >= ACCEPT_STREAK and engine.dt < cfg.dt_max:
             engine.dt = min(2.0 * engine.dt, cfg.dt_max)
             engine.streak = 0
-        if state.t >= engine.next_sample_t:
+        if sampled:
             emit(state, prev, res.dt_used)
             while engine.next_sample_t <= state.t:
                 engine.next_sample_t += cfg.sample_interval

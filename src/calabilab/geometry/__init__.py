@@ -14,21 +14,23 @@ and the Calabi energy are written once here, over the backend's
 ``laplacian``, ``grad_norm`` and ``integral``.
 
 A state is a backend name, the backend's value grid (torus phi, toric v)
-and the flow time.  It derives six things on first use and keeps them:
+and the flow time.  It derives eight things on first use and keeps them:
 the spectrum of its values (the form the backend's differential kernels
 read: the torus rfft2 half-spectrum, the toric nodal values themselves),
 its base field (torus h = 1 + lap0(phi), toric 1 + (1-x^2) v''), its
-scalar curvature S, the spectrum of S, lap_g S (the curvature norms and
-the smoothing probes both read it) and its Calabi energy.  Every caller
+scalar curvature S, the spectrum of S, lap_g S and lap_g(lap_g S) (the
+curvature norms and the smoothing probes read them), the spatial side E
+of the scalar evolution identity (built from both; the evolution residual
+reads it at each end of a step) and its Calabi energy.  Every caller
 reads these, so each is computed once per state.  A cached spectrum is
-always the transform of the state's own values, or for a ``midpoint`` the
-mean of its two ends' spectra, so a state read back from a checkpoint
-derives the same bits as the one that was written.  A caller that keeps
-a state for only some of these can ``forget`` the others.  The cached
-arrays are read-only and take no part in equality or ``repr``.  States are
-otherwise immutable value objects, and every operation is a pure function
-of its inputs and safe to call concurrently: a cache fill is idempotent,
-so two threads that fill the same entry store the same bits.
+always the transform of the state's own values, so a state read back
+from a checkpoint derives the same bits as the one that was written.  A
+caller that keeps a state for only some of these can ``forget`` the
+others.  The cached arrays are read-only and take no part in equality or
+``repr``.  States are otherwise immutable value objects, and every
+operation is a pure function of its inputs and safe to call concurrently:
+a cache fill is idempotent, so two threads that fill the same entry store
+the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -161,7 +163,7 @@ def _ops(state):
 
 
 _DERIVED = ("spectrum", "base", "scalar", "scalar_spectrum", "lap_scalar",
-            "energy")
+            "bilap_scalar", "evolution", "energy")
 
 
 def _derive(state, key, compute):
@@ -180,8 +182,9 @@ def forget(state, *keys):
     state's cache, which frees their arrays.
 
     The keys are the cache's: ``spectrum``, ``base``, ``scalar``,
-    ``scalar_spectrum``, ``lap_scalar`` and ``energy``.  A dropped
-    quantity that is read after all is derived again, to the same bits.
+    ``scalar_spectrum``, ``lap_scalar``, ``bilap_scalar``, ``evolution``
+    and ``energy``.  One that is read after all is derived again, to the
+    same bits.
     """
     unknown = set(keys) - set(_DERIVED)
     if unknown:
@@ -193,23 +196,6 @@ def forget(state, *keys):
 def spectrum(state):
     """The backend's transform of the state's values (torus phi_hat)."""
     return _derive(state, "spectrum", lambda st: _ops(st).spectrum(st.values))
-
-
-def midpoint(a, b):
-    """The state halfway between two states of one backend, at a's time.
-
-    The transform is linear, so the mean of the two cached spectra is the
-    midpoint's spectrum and no new transform is taken.
-    """
-    mid = a.with_values(0.5 * (a.values + b.values))
-
-    def mean_spectrum(_):
-        out = spectrum(a) + spectrum(b)
-        out *= 0.5
-        return out
-
-    _derive(mid, "spectrum", mean_spectrum)
-    return mid
 
 
 def _checked_base(state):
@@ -271,6 +257,18 @@ def _lap_scalar(state):
         base_field(st), scalar_spectrum(st)))
 
 
+def _bilap_scalar(state):
+    return _derive(state, "bilap_scalar", lambda st: _ops(st).laplacian(
+        base_field(st), _ops(st).spectrum(_lap_scalar(st))))
+
+
+def scalar_evolution(state):
+    """The backend's spatial side E of the scalar evolution identity,
+    dS/dt + E = 0 along the flow (torus lap_g^2 S + S lap_g S)."""
+    return _derive(state, "evolution", lambda st: _ops(st).scalar_evolution(
+        base_field(st), _scalar(st), _lap_scalar(st), _bilap_scalar(st)))
+
+
 def curvature_norms(state):
     """(sup |S|, sup |hess S|, sup |Rm|) with the package's conventions.
 
@@ -291,10 +289,9 @@ def scalar_probes(state):
     |lap_g(lap_g S)| / 4, the fourth-order quantity paired with the
     Hessian norm in the smoothing-rate probes.
     """
-    ops, base = _ops(state), base_field(state)
-    sup_grad = float(np.max(ops.grad_norm(base, scalar_spectrum(state))))
-    bilap = ops.laplacian(base, ops.spectrum(_lap_scalar(state)))
-    return sup_grad, 0.25 * float(np.max(np.abs(bilap)))
+    sup_grad = float(np.max(_ops(state).grad_norm(
+        base_field(state), scalar_spectrum(state))))
+    return sup_grad, 0.25 * float(np.max(np.abs(_bilap_scalar(state))))
 
 
 def grid_integral(state, values):

@@ -210,13 +210,13 @@ def integral(p, values):
     return float(np.dot(ops(p.shape[0]).weights, values))
 
 
-def scalar_evolution(p, s):
+def scalar_evolution(p, s, lap_s=None, bilap_s=None):
     """Spatial side of the scalar evolution identity in symplectic slicing.
 
     Along dv/dt = -(S - 2) the profile w = 1/u'' obeys dw/dt = w^2 S'', so
     dS/dt = -(w^2 S'')'' exactly.  Expanding against lap_g = (w d/dx)' the
     same field reads lap_g^2 S + S lap_g S + w (S')^2; the compact form is
-    what is evaluated here.
+    what is evaluated here, so ``lap_s`` and ``bilap_s`` are not read.
     """
     o = ops(p.shape[0])
     w = _inverse_u2(p)

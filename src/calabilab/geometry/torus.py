@@ -162,7 +162,7 @@ def average_scalar(h):
     return 0.0
 
 
-def scalar_evolution(h, s):
+def scalar_evolution(h, s, lap_s=None, bilap_s=None):
     """Spatial side of the scalar-curvature evolution identity.
 
     Along the flow dphi/dt = S (this backend's normalization) a direct
@@ -172,15 +172,16 @@ def scalar_evolution(h, s):
         dS/dt = -lap_g(lap_g S) - S * lap_g S,
 
     so the returned field is lap_g^2 S + S lap_g S, the quantity whose sum
-    with dS/dt vanishes on exact solutions.  The reduction is frozen here
-    and validated against a finite-difference oracle in the tests.
+    with dS/dt vanishes on exact solutions; lap_g S and lap_g^2 S are
+    derived unless given.  The reduction is frozen here and validated
+    against a finite-difference oracle in the tests.
     """
-    lg_s = lap0(s)
-    lg_s /= h
-    out = lap0(lg_s)
-    out /= h
-    lg_s *= s
-    out += lg_s
+    if lap_s is None:
+        lap_s = laplacian(h, spectrum(s))
+    if bilap_s is None:
+        bilap_s = laplacian(h, spectrum(lap_s))
+    out = s * lap_s
+    out += bilap_s
     return out
 
 
@@ -237,6 +238,8 @@ def sobolev_gap(a_hat, b_hat):
     n = a_hat.shape[0]
     _, _, k2, _ = _ops(n)
     wgt = (1.0 + k2) ** 2
+    if not b_hat.any():  # every translation gives the same gap
+        return float(np.sqrt(_weighted_power(wgt, a_hat, n)))
     # Parseval normalization: the norm is (2pi)^-2 int of the weighted
     # spectrum.  irfft2 reconstructs the conjugate half of the spectrum
     # itself, so the plain inverse transform sums the full correlation.

@@ -69,17 +69,8 @@ class TestSample:
         assert rec.evolution_residual is not None
         assert rec.aut_gap is not None and rec.aut_gap > 0
 
-    def test_one_pass_per_sample(self, monkeypatch):
-        # A sample reads the state's cached spectra: S_hat once for lap_g S
-        # and grad S (1), lap_g S (1), grad S (2), lap_g lap_g S (2), the
-        # Futaki solve and its residual (2), the midpoint's density, S and
-        # evolution side from the mean of the two cached spectra (7) and
-        # the gap's correlation (1): 16, plus 1 for this test's fresh
-        # reference's spectrum, which a run computes once (it was 25).  The
-        # step already computed the new state's spectrum, base field and S.
-        state = torus_state(n=64)
-        res = flow.step(state, 1e-5)
-        assert res.accepted
+    @staticmethod
+    def count_ffts(monkeypatch, fn):
         calls = []
         for name in ("rfft2", "irfft2", "fft2", "ifft2"):
             def counted(*args, _fn=getattr(np.fft, name), **kwargs):
@@ -87,14 +78,48 @@ class TestSample:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        rec = diagnostics.sample(res.new_state, prev=state, dt=1e-5,
-                                 reference=geometry.flat_state(64))
-        monkeypatch.undo()
-        assert len(calls) <= 17
+        try:
+            return fn(), len(calls)
+        finally:
+            monkeypatch.undo()
+
+    def test_one_pass_per_sample(self, monkeypatch):
+        # A sample reads the state's cached spectra: S_hat once for lap_g S
+        # and grad S (1), lap_g S (1), grad S (2), lap_g lap_g S (2, shared
+        # by the probes and the evolution side E) and the Futaki solve and
+        # its residual (2): 8.  The gap to the zero reference needs no
+        # correlation.  This prev was not sampled, so its E costs 3 more
+        # (lap_g S and lap_g lap_g S; the step derived its density and
+        # S_hat), and this test's fresh reference's spectrum 1, which a run
+        # computes once: 12 (it was 17).  The step already computed the new
+        # state's spectrum, base field and S.
+        state = torus_state(n=64)
+        res = flow.step(state, 1e-5)
+        assert res.accepted
+        rec, calls = self.count_ffts(monkeypatch, lambda: diagnostics.sample(
+            res.new_state, prev=state, dt=1e-5,
+            reference=geometry.flat_state(64)))
+        assert calls <= 12, calls
         pairings = diagnostics.futaki(res.new_state,
                                       diagnostics.basis_fields("torus"))
         assert len(pairings) == 2
         assert rec.futaki == max(abs(p) for p in pairings)
+
+    def test_sample_after_a_sampled_prev(self, monkeypatch):
+        # The prev's sample kept its S and E, so the residual reads both
+        # ends from the cache and the sample costs its own 8 FFTs.
+        state = torus_state(n=64)
+        reference = geometry.flat_state(64)
+        diagnostics.sample(state, reference=reference)
+        res = flow.step(state, 1e-5)
+        assert res.accepted
+        rec, calls = self.count_ffts(monkeypatch, lambda: diagnostics.sample(
+            res.new_state, prev=state, dt=1e-5, reference=reference))
+        assert calls <= 8, calls
+        fresh = [geometry.torus_state(st.values, st.t)
+                 for st in (state, res.new_state)]
+        assert rec == diagnostics.sample(fresh[1], prev=fresh[0], dt=1e-5,
+                                         reference=reference)
 
 
 class TestEvolutionResidual:
@@ -104,6 +129,34 @@ class TestEvolutionResidual:
             assert diagnostics.evolution_residual(flat, flat, dt) == 0.0
         rnd = geometry.round_state(64)
         assert diagnostics.evolution_residual(rnd, rnd, 0.1) < 1e-9
+
+    def test_trapezoid_of_the_backends_evolution_sides(self):
+        for backend in geometry.BACKENDS:
+            ops = geometry.backend_module(backend)
+            state = presets.build_initial(
+                backend, 32, {"preset": "random", "seed": 4,
+                              "amplitude": 0.2})
+            new = flow.step(state, 1e-5).new_state
+            ends = []
+            for st in (state, new):
+                h = ops.base_field(ops.spectrum(st.values))
+                s = ops.scalar_curvature(st.values, h)
+                ends.append((s, ops.scalar_evolution(h, s)))
+            (s0, e0), (s1, e1) = ends
+            want = np.max(np.abs((s1 - s0) / 1e-5 + 0.5 * (e0 + e1)))
+            got = diagnostics.evolution_residual(state, new, 1e-5)
+            assert got == want > 0.0
+
+    def test_inputs_are_validated(self):
+        coarse, fine = torus_state(n=16), torus_state(n=32)
+        with pytest.raises(ValueError, match="resolution"):
+            diagnostics.evolution_residual(coarse, fine, 1e-3)
+        with pytest.raises(ValueError, match="backend"):
+            diagnostics.evolution_residual(geometry.round_state(16), coarse,
+                                           1e-3)
+        for dt in (float("nan"), float("inf"), 0.0, -1e-3):
+            with pytest.raises(ValueError, match="dt"):
+                diagnostics.evolution_residual(fine, fine, dt)
 
     def test_torus_identity_against_flow_derivative(self):
         # Finite difference of S along the flow direction versus the
@@ -318,6 +371,29 @@ class TestAutomorphismGap:
             plain = np.sqrt(torus._weighted_power(wgt, np.fft.rfft2(phi), n))
             assert diagnostics.automorphism_gap(
                 geometry.torus_state(phi), zero) == plain
+
+    def test_zero_reference_skips_the_correlation(self, monkeypatch):
+        # The correlation against a zero spectrum is the constant diag, so
+        # the shortcut returns the same bits without an inverse transform.
+        n = 64
+        wgt = (1.0 + torus._ops(n)[2]) ** 2
+        a_hat = np.fft.rfft2(torus_state(seed=5, n=n).values)
+        b_hat = geometry.spectrum(geometry.flat_state(n))
+        diag = (torus._weighted_power(wgt, a_hat, n)
+                + torus._weighted_power(wgt, b_hat, n))
+        cross = np.fft.irfft2(wgt * a_hat * np.conj(b_hat), s=(n, n))
+        cross /= n * n
+        cross *= -2.0
+        cross += diag
+        grid = max(float(np.min(cross)), 0.0)
+        old = float(np.sqrt(min(grid, torus._weighted_power(
+            wgt, a_hat - b_hat, n))))
+        calls = []
+        monkeypatch.setattr(np.fft, "irfft2",
+                            lambda *a, **k: calls.append(a))
+        got = torus.sobolev_gap(a_hat, b_hat)
+        assert calls == []
+        assert np.float64(got).tobytes() == np.float64(old).tobytes()
 
     def test_backend_mismatch(self):
         with pytest.raises(ValueError):

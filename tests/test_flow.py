@@ -334,10 +334,10 @@ class TestRun:
 
 
 class TestSpectrumPurity:
-    # A cached spectrum is always the transform of the state's own values
-    # (or, for a midpoint, the mean of two such), never the step's own
-    # spectral update: a resumed run transforms the values it reads, so
-    # it must derive the same bits as the run that wrote them.
+    # A cached spectrum is always the transform of the state's own values,
+    # never the step's own spectral update: a resumed run transforms the
+    # values it reads, so it must derive the same bits as the run that
+    # wrote them.
     @staticmethod
     def same_bits(a, b):
         return np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -365,9 +365,6 @@ class TestSpectrumPurity:
         for st in (moved, read):
             assert self.same_bits(geometry.spectrum(st),
                                   np.fft.rfft2(st.values))
-        mid = geometry.midpoint(state, new)
-        assert self.same_bits(geometry.spectrum(mid), 0.5 * (
-            np.fft.rfft2(state.values) + np.fft.rfft2(new.values)))
 
     def test_torus_resume_matches_the_full_run(self, tmp_path):
         cfg = flow.FlowConfig(
