@@ -180,19 +180,23 @@ def _toric_implicit_step(state, dt):
 
     so delta = dt F(v) + O(dt^2): the step integrates the flow that
     ``rhs`` describes, and energy acceptance guards the explicit rest of
-    the Jacobian.  The system is solved in the eigenbasis of the pencil
-    (``toric.ChebOps.modes``, one eigh per M, shared by every dt):
+    the Jacobian.  K0 keeps parity, so the system is solved in the
+    eigenbasis of each parity block of the pencil (``toric.ChebOps.modes``,
+    one eigh per block and M, shared by every dt).  ``toric.fold`` gives
+    twice the first-half values y of F's even and odd parts; the same
+    part of delta is
 
-        delta = (1/r) Q diag(dt / (1 + dt lam)) Q' (r F).
+        (1/sig) Q diag(dt / (1 + dt lam)) Q' (sig y / 2),
 
-    At the round state S is exactly 2, F vanishes and the update returns
+    two half-size products per parity, and ``toric.unfold`` reassembles
+    delta.  At the round state S is exactly 2, F vanishes and the update returns
     v bit for bit.
     """
     v = state.values
-    r, lam, q = toric.ops(v.shape[0]).modes
-    g = q.T @ (r * rhs(state).values)
-    delta = (q @ (dt / (1.0 + dt * lam) * g)) / r
-    return toric.strip_affine(v + delta)
+    parts = [(q @ (0.5 * dt / (1.0 + dt * lam) * (q.T @ (sig * y)))) / sig
+             for y, (sig, lam, q) in zip(toric.fold(rhs(state).values),
+                                         toric.ops(v.shape[0]).modes)]
+    return toric.strip_affine(v + toric.unfold(*parts))
 
 
 # The only backend knowledge outside ``geometry``: each backend's update.

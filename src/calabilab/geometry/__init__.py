@@ -16,7 +16,8 @@ and the Calabi energy are written once here, over the backend's
 A state is a backend name, the backend's value grid (torus phi, toric v)
 and the flow time.  It derives eight things on first use and keeps them:
 the spectrum of its values (the form the backend's differential kernels
-read: the torus rfft2 half-spectrum, the toric nodal values themselves),
+read: the torus rfft2 half-spectrum, the toric ``Form`` that keeps the
+values and their derivatives once taken),
 its base field (torus h = 1 + lap0(phi), toric 1 + (1-x^2) v''), its
 scalar curvature S, the spectrum of S, lap_g S and lap_g(lap_g S) (the
 curvature norms and the smoothing probes read them), the spatial side E
@@ -219,7 +220,7 @@ def base_field(state):
 
 def _scalar(state):
     return _derive(state, "scalar", lambda st: _ops(st).scalar_curvature(
-        st.values, base_field(st)))
+        spectrum(st), base_field(st)))
 
 
 def scalar_curvature(state):
@@ -262,11 +263,19 @@ def _bilap_scalar(state):
         base_field(st), _ops(st).spectrum(_lap_scalar(st))))
 
 
+def _evolution(state):
+    ops = _ops(state)
+    laps = ((_lap_scalar(state), _bilap_scalar(state))
+            if ops.EVOLUTION_READS_LAPLACIANS else ())
+    return ops.scalar_evolution(base_field(state), _scalar(state), *laps)
+
+
 def scalar_evolution(state):
     """The backend's spatial side E of the scalar evolution identity,
-    dS/dt + E = 0 along the flow (torus lap_g^2 S + S lap_g S)."""
-    return _derive(state, "evolution", lambda st: _ops(st).scalar_evolution(
-        base_field(st), _scalar(st), _lap_scalar(st), _bilap_scalar(st)))
+    dS/dt + E = 0 along the flow (torus lap_g^2 S + S lap_g S).  lap_g S
+    and lap_g(lap_g S) are derived for it only on a backend whose form
+    reads them (``EVOLUTION_READS_LAPLACIANS``)."""
+    return _derive(state, "evolution", _evolution)
 
 
 def curvature_norms(state):

@@ -35,6 +35,7 @@ from ..errors import BadParams, SolverFailure
 FLOW_SIGN = 1.0  # the flow moves phi by S - S_bar itself
 FIELD_DIM = 2  # holomorphic fields: the constant translations
 BASE_NAME = "torus conformal density"  # what the positivity check reads
+EVOLUTION_READS_LAPLACIANS = True  # E reads lap_g S and lap_g^2 S
 ZERO_PRESET = "flat"  # the preset whose potential vanishes
 
 _GAUGE_TOL = 1e-9
@@ -113,10 +114,10 @@ def base_field(phi_hat):
     return h
 
 
-def scalar_curvature(phi, h):
+def scalar_curvature(phi_hat, h):
     """Riemannian scalar curvature of the metric h * (dx^2 + dy^2).
 
-    It depends on phi only through h.
+    It depends on phi only through h, so ``phi_hat`` is not read.
     """
     s = lap0(np.log(h))
     s /= h

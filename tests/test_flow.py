@@ -232,9 +232,10 @@ class TestRun:
         assert len(result.trace) > 0  # partial trace retained
 
     def test_toric_run_decomposes_once_per_resolution(self, monkeypatch):
-        # The implicit operator is diagonal in one eigenbasis per M: a run
-        # whose dt doubles several times does one eigh, and a second run
-        # at that M does none.
+        # The implicit operator is diagonal in one eigenbasis per parity
+        # block and M: a run whose dt doubles several times does one eigh
+        # per block, and a second run at that M does none.  An odd M puts
+        # the centre node in the even block.
         calls = count_eigh(monkeypatch)
         dts = []
         step = flow.step
@@ -250,9 +251,13 @@ class TestRun:
         )
         flow.run(cfg, toric_state())
         assert len(set(dts)) > 3
-        assert calls == [(64, 64)]
+        assert calls == [(32, 32), (32, 32)]
         flow.run(cfg, toric_state(seed=2))
-        assert calls == [(64, 64)]
+        assert calls == [(32, 32), (32, 32)]
+        odd = flow.FlowConfig(**{**asdict(cfg), "resolution": 65})
+        flow.run(odd, toric_state(m=65))
+        flow.run(odd, toric_state(seed=2, m=65))
+        assert calls == [(32, 32), (32, 32), (33, 33), (32, 32)]
 
     def test_backend_mismatch_rejected(self):
         cfg = flow.FlowConfig(
@@ -304,8 +309,8 @@ class TestRun:
     def test_concurrent_first_toric_steps_share_the_modes(self,
                                                           monkeypatch):
         # Threads that step at once at a new M race on building its tables
-        # and modes; one eigh must serve them all, and every update must
-        # return the bits of a sequential first step.
+        # and modes; one eigh per parity block must serve them all, and
+        # every update must return the bits of a sequential first step.
         m = 80  # used by no other test
         state = toric_state(m=m)
         dts = (1e-3, 2e-3, 4e-3)
@@ -329,7 +334,7 @@ class TestRun:
                 got = [r for f in futures for r in f.result(timeout=120)]
         finally:
             sys.setswitchinterval(interval)
-        assert calls == [(m, m)]
+        assert calls == [(m // 2, m // 2)] * 2
         assert all(bits == want[dt] for dt, bits in got)
 
 

@@ -8,10 +8,33 @@ from calabilab.errors import NonKahler
 from calabilab.geometry import toric
 
 
+FOLD_SIZES = [8, 9, 33, 64, 65, 512, 513, 2049]
+
+
 def perturbed(m, seed=1, amp=0.3):
     return presets.build_initial(
         "toric1d", m, {"preset": "random", "seed": seed, "amplitude": amp}
     )
+
+
+def dense_d1(x):
+    """Reference: the dense Chebyshev collocation matrix on the nodes x,
+    with the negative-sum diagonal (Trefethen, Spectral Methods in MATLAB,
+    ch. 6)."""
+    m = x.size
+    c = np.ones(m)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** np.arange(m)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(m))
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    return d
+
+
+def dense_k0(o):
+    """Reference: the round-state stiffness D2' diag(w q^2) D2, dense."""
+    d2 = np.linalg.matrix_power(dense_d1(o.x), 2)
+    return d2.T @ ((o.weights * o.q * o.q)[:, None] * d2)
 
 
 class TestChebyshevTables:
@@ -23,11 +46,13 @@ class TestChebyshevTables:
         o = toric.ops(32)
         p = o.x ** 5 - 3 * o.x ** 2 + o.x
         dp = 5 * o.x ** 4 - 6 * o.x + 1
-        assert np.max(np.abs(o.d1 @ p - dp)) < 1e-10
+        assert np.max(np.abs(toric.diff(p, 1) - dp)) < 1e-10
+        assert np.max(np.abs(dense_d1(o.x) @ p - dp)) < 1e-10
 
     def test_derivative_annihilates_constants(self):
-        o = toric.ops(64)
-        assert np.max(np.abs(o.d1 @ np.ones(64))) < 1e-12
+        ones = np.ones(64)
+        assert np.max(np.abs(toric.diff(ones, 1))) < 1e-12
+        assert np.max(np.abs(dense_d1(toric.ops(64).x) @ ones)) < 1e-12
 
     def test_quadrature_weights(self):
         o = toric.ops(48)
@@ -35,32 +60,105 @@ class TestChebyshevTables:
         assert abs(o.weights @ o.x ** 4 - 2.0 / 5.0) < 1e-14
 
 
+class TestParityFold:
+    # Every toric derivative is two half-size products on the sums and the
+    # differences of mirrored values; these pin the fold against the dense
+    # matrices it replaces, at even and odd M (odd M puts the centre node
+    # x = 0 in the even half).
+
+    @pytest.mark.parametrize("m", FOLD_SIZES)
+    def test_diff_is_the_dense_product_to_rounding(self, m):
+        # Bound: 4 sqrt(m) eps times |D| |f| at every node, the scale of
+        # the rounding of any summation order (measured at most 5.8 eps,
+        # at m = 513 and 2049).  D2 is checked as D1 applied twice.
+        x = toric.ops(m).x
+        d1 = dense_d1(x)
+        bound = 4.0 * np.sqrt(m) * np.finfo(float).eps
+        rng = np.random.default_rng(m)
+        for f in (np.exp(np.sin(3.0 * x)), rng.standard_normal(m)):
+            scale1 = np.abs(d1) @ np.abs(f)
+            want1 = d1 @ f
+            assert np.all(np.abs(toric.diff(f, 1) - want1) <= bound * scale1)
+            scale2 = np.abs(d1) @ scale1
+            want2 = d1 @ want1
+            assert np.all(np.abs(toric.diff(f, 2) - want2) <= bound * scale2)
+
+    @pytest.mark.parametrize("m", FOLD_SIZES)
+    def test_reflection_equivariance_is_exact(self, m):
+        f = np.random.default_rng(m).standard_normal(m)
+        assert np.array_equal(toric.diff(f[::-1], 1), -toric.diff(f, 1)[::-1])
+        assert np.array_equal(toric.diff(f[::-1], 2), toric.diff(f, 2)[::-1])
+
+    @pytest.mark.parametrize("m", FOLD_SIZES)
+    def test_fold_and_unfold_invert_each_other(self, m):
+        f = np.random.default_rng(m).standard_normal(m)
+        s, d = toric.fold(f)
+        assert (s.size, d.size) == (m - m // 2, m // 2)
+        assert np.allclose(toric.unfold(0.5 * s, 0.5 * d), f, rtol=0,
+                           atol=4e-16 * np.max(np.abs(f)))
+
+    @pytest.mark.parametrize("m", FOLD_SIZES)
+    def test_round_state_is_a_fixed_point_bit_for_bit(self, m):
+        state = geometry.round_state(m)
+        assert np.array_equal(geometry.scalar_curvature(state).values,
+                              np.full(m, 2.0))
+        assert geometry.calabi_energy(state) == 0.0
+        assert geometry.scalar_evolution(state).tobytes() == bytes(8 * m)
+        res = flow.step(state, 1e-2)
+        assert res.accepted
+        assert res.new_state.values.tobytes() == state.values.tobytes()
+
+
+def test_each_state_differentiates_v_and_s_once(monkeypatch):
+    # The base field and S read one D2 v, and lap_g S and |grad S|_g one
+    # D1 S: the state's forms keep them.
+    state = perturbed(64)
+    calls = []
+    diff = toric.diff
+
+    def counted(f, k):
+        calls.append((f, k))
+        return diff(f, k)
+
+    monkeypatch.setattr(toric, "diff", counted)
+    s = geometry.scalar_curvature(state).values
+    geometry.curvature_norms(state)
+    geometry.scalar_probes(state)
+    assert [k for f, k in calls if f is state.values] == [2]
+    assert [k for f, k in calls if f is s] == [1]
+
+
 class TestRoundStateModes:
     @pytest.mark.parametrize("m", [64, 128, 512])
     def test_spectrum_has_its_closed_form(self, m):
         # The round-state operator (q^2 v'')'' has eigenvalues
         # (l-1) l (l+1) (l+2) on degree-l polynomials: the two affine
-        # gauge modes at 0, then 24, 120, 360, 840 for l = 2..5.
-        _, lam, _ = toric.ops(m).modes
+        # gauge modes at 0, then 24, 120, 360, 840 for l = 2..5.  The
+        # modes hold one spectrum per parity; merged they are the pencil's.
+        (_, even, _), (_, odd, _) = toric.ops(m).modes
+        assert (even.size, odd.size) == (m - m // 2, m // 2)
+        lam = np.sort(np.concatenate([even, odd]))
         assert np.all(lam >= 0.0)
         assert np.all(lam[:2] < 1e-6)
+        assert even[0] < 1e-6 and odd[0] < 1e-6  # the constant and x
         want = np.array([(l - 1) * l * (l + 1) * (l + 2) for l in range(2, 6)])
         assert np.max(np.abs(lam[2:6] - want) / want) < 1e-6
 
     def test_step_solves_the_implicit_system(self):
         # The eigenbasis step against a dense solve of
         # (W + dt K0) delta = dt W F, K0 = D2' diag(w q^2) D2; they agree
-        # to the conditioning of the dense system.
-        state = perturbed(64)
-        o = toric.ops(64)
-        k0 = o.d2.T @ ((o.weights * o.q * o.q)[:, None] * o.d2)
-        dt = 1e-2
-        f = flow.rhs(state).values
-        delta = np.linalg.solve(np.diag(o.weights) + dt * k0,
-                                dt * o.weights * f)
-        want = toric.strip_affine(state.values + delta)
-        got = flow._toric_implicit_step(state, dt)
-        assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(delta))
+        # to the conditioning of the dense system, at even and odd M.
+        for m in (64, 65):
+            state = perturbed(m)
+            o = toric.ops(m)
+            dt = 1e-2
+            f = flow.rhs(state).values
+            delta = np.linalg.solve(np.diag(o.weights) + dt * dense_k0(o),
+                                    dt * o.weights * f)
+            want = toric.strip_affine(state.values + delta)
+            got = flow._toric_implicit_step(state, dt)
+            assert (np.max(np.abs(got - want))
+                    < 1e-10 * np.max(np.abs(delta))), m
 
 
 class TestRoundState:
