@@ -1,13 +1,13 @@
 """Semi-implicit time integration of the fourth-order scalar-curvature flow.
 
 The potential moves by the deviation of scalar curvature from its
-topological mean.  The stiff constant-coefficient part of the linearized
-operator (the flat bi-Laplacian on the torus, the degenerate fourth-order
-round-state operator on the interval) is solved implicitly; the remainder
-is explicit with 2/3-rule dealiasing on the torus.  Steps are accepted
-only when the energy does not rise beyond the configured tolerance: the
-gradient-flow structure itself is the acceptance oracle, which is the one
-property the continuum flow guarantees unconditionally.
+topological mean (``rhs``).  ``step`` writes the update once over each
+backend's modes, implicit in the stiff linear part the backend freezes
+(the flat bi-Laplacian on the torus, the round-state operator on the
+interval) and explicit in the rest.  Steps are accepted only when the
+energy does not rise beyond the configured tolerance: the gradient-flow
+structure itself is the acceptance oracle, which is the one property the
+continuum flow guarantees unconditionally.
 
 The adaptive driver halves the step on rejection, doubles it after eight
 consecutive acceptances, records diagnostics on a fixed flow-time cadence,
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diagnostics, geometry, traceio
 from .errors import CorruptFile, NonKahler, SchemaMismatch
-from .geometry import TORIC, TORUS, MetricState, toric, torus
+from .geometry import MetricState
 from .scale import Trace
 
 ACCEPT_STREAK = 8
@@ -126,28 +126,6 @@ def extremality_residual(state):
         geometry.base_field(state), geometry.scalar_curvature(state).values)
 
 
-def _torus_step(state, dt):
-    """Updated phi of the semi-implicit spectral step.
-
-    The flat bi-Laplacian is implicit, the remainder S + lap0^2 phi
-    explicit and 2/3-rule dealiased.  Both are formed from the state's
-    cached spectra phi_hat and S_hat, so the step's only transform is the
-    inverse one; the new state transforms its own values again, which
-    keeps every cached spectrum the transform of a state's values.
-    """
-    phi_hat = geometry.spectrum(state)
-    _, _, k2, mask = torus._ops(phi_hat.shape[0])
-    k4 = k2 * k2
-    out = k4 * phi_hat
-    out += geometry.scalar_spectrum(state)
-    out *= mask
-    out *= dt
-    out += phi_hat
-    out /= 1.0 + dt * k4
-    out[0, 0] = 0.0
-    return np.fft.irfft2(out, s=state.values.shape)
-
-
 def lu_factor(a):
     """``scipy.linalg.lu_factor(a)``; no caller in the package.
 
@@ -165,55 +143,30 @@ def lu_solve(lu_and_piv, b):
     return solve(lu_and_piv, b)
 
 
-def _toric_implicit_step(state, dt):
-    """Gauge-fixed v of the step with the round-state operator implicit.
-
-    The flow field is ``rhs``, F(v) = -(S - 2) = -(q^2 rho v'')''
-    (q = 1-x^2, rho = 1/(1 + q v'')), read from the state's cached S.  Its
-    Jacobian at the round state is -(q^2 (.)'')''; against the quadrature
-    inner product that is the stiffness K0, symmetric positive
-    semidefinite and independent of v.  As the torus step freezes the flat
-    bi-Laplacian, this step keeps K0 implicit and forces with the flow's
-    own velocity,
-
-        (W + dt K0) delta = dt W F(v),      W = diag(w),
-
-    so delta = dt F(v) + O(dt^2): the step integrates the flow that
-    ``rhs`` describes, and energy acceptance guards the explicit rest of
-    the Jacobian.  K0 keeps parity, so the system is solved in the
-    eigenbasis of each parity block of the pencil (``toric.ChebOps.modes``,
-    one eigh per block and M, shared by every dt).  ``toric.fold`` gives
-    twice the first-half values y of F's even and odd parts; the same
-    part of delta is
-
-        (1/sig) Q diag(dt / (1 + dt lam)) Q' (sig y / 2),
-
-    two half-size products per parity, and ``toric.unfold`` reassembles
-    delta.  At the round state S is exactly 2, F vanishes and the update returns
-    v bit for bit.
-    """
-    v = state.values
-    parts = [(q @ (0.5 * dt / (1.0 + dt * lam) * (q.T @ (sig * y)))) / sig
-             for y, (sig, lam, q) in zip(toric.fold(rhs(state).values),
-                                         toric.ops(v.shape[0]).modes)]
-    return toric.strip_affine(v + toric.unfold(*parts))
-
-
-# The only backend knowledge outside ``geometry``: each backend's update.
-_UPDATES = {TORUS: _torus_step, TORIC: _toric_implicit_step}
-
-
 def step(state, dt, energy_tol=0.0):
     """One semi-implicit step with energy-monotone acceptance.
 
-    Raises NonKahler when the updated state leaves the cone; the caller
-    should retry with a smaller step.
+    The values move by the field whose modes are dt f / (1 + dt lam): f
+    the backend's modes of ``rhs``, lam the decay rates of the linear part
+    it keeps implicit.  ValueError unless dt is finite and > 0.  Raises
+    NonKahler when the updated state leaves the cone; the caller should
+    retry with a smaller step.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and > 0, not {dt!r}")
     ca_old = geometry.calabi_energy(state)
-    new_state = state.with_values(_UPDATES[state.backend](state, dt),
+    ops = geometry.backend_module(state.backend)
+    inc = ops.velocity_modes(geometry.spectrum(state),
+                             geometry.scalar_spectrum(state),
+                             geometry.base_field(state))
+    rate = dt * ops.decay_rates(state.resolution)
+    rate += 1.0
+    inc *= np.divide(dt, rate, out=rate)
+    new_state = state.with_values(ops.advance(state.values, inc),
                                   t=state.t + dt)
+    # Freed before the new state derives its fields (a step's peak); also
+    # freeing ``rate`` measured more page faults (heap trimmed and regrown).
+    del inc
     ca_new = geometry.calabi_energy(new_state)
     delta = ca_new - ca_old
     accepted = bool(delta <= energy_tol) and bool(np.isfinite(ca_new))
@@ -359,13 +312,19 @@ def resume(cfg, checkpoint, checkpoint_dir=None, on_accept=None):
 
 
 def _check_cursors(cfg, t, engine):
-    """CorruptFile unless ``run`` can advance the engine's cursors past t.
+    """CorruptFile unless the engine's step size is one ``run`` can hold
+    and ``run`` can advance the engine's cursors past t.
 
-    A run leaves both cursors past its time, and a run without periodic
-    checkpoints keeps ``next_checkpoint_t`` at +Infinity.  A cursor more
-    than one interval behind ``t``, or a finite cursor with no interval to
-    add, would stall ``run``'s catch-up loops.
+    ``run`` keeps dt within [dt_min, dt_max].  A run leaves both cursors
+    past its time, and a run without periodic checkpoints keeps
+    ``next_checkpoint_t`` at +Infinity.  A cursor more than one interval
+    behind ``t``, or a finite cursor with no interval to add, would stall
+    ``run``'s catch-up loops.
     """
+    if not cfg.dt_min <= engine.dt <= cfg.dt_max:
+        raise CorruptFile(f"checkpoint dt {engine.dt!r} lies outside the "
+                          f"config's [dt_min, dt_max] = "
+                          f"[{cfg.dt_min!r}, {cfg.dt_max!r}]")
     for key, interval in (("next_sample_t", cfg.sample_interval),
                           ("next_checkpoint_t", cfg.checkpoint_interval)):
         cursor = getattr(engine, key)

@@ -325,6 +325,29 @@ def scalar_evolution(p, s):
     return diff(w * w * diff(s - average_scalar(p), 2), 2)
 
 
+def decay_rates(m):
+    """K0's eigenvalues (``ChebOps.modes``), the even block's first."""
+    return np.concatenate([lam for _, lam, _ in ops(m).modes])
+
+
+def velocity_modes(v_spec, s_spec, p):
+    """Coordinates Q' (sig y) of the velocity -(S - S_bar) in K0's
+    eigenbasis (``ChebOps.modes``), even block first; y is half of each of
+    ``fold``'s parts.  v is not read."""
+    f = FLOW_SIGN * (s_spec.values - average_scalar(p))
+    return np.concatenate([q.T @ (0.5 * sig * y) for y, (sig, _, q)
+                           in zip(fold(f), ops(f.shape[0]).modes)])
+
+
+def advance(v, inc):
+    """v plus the field of coordinates inc, laid out as ``velocity_modes``
+    lays them, less its affine gauge part."""
+    modes = ops(v.shape[0]).modes
+    parts = np.split(inc, [modes[0][1].size])
+    return strip_affine(v + unfold(*[(q @ g) / sig for g, (sig, _, q)
+                                     in zip(parts, modes)]))
+
+
 def extremality_residual(p, s):
     """L2 norm of the holomorphy defect of the raised gradient field of S.
 

@@ -163,6 +163,29 @@ def average_scalar(h):
     return 0.0
 
 
+def decay_rates(n):
+    """k^4, the flat bi-Laplacian the flow step keeps implicit."""
+    _, _, k2, _ = _ops(n)
+    return k2 * k2
+
+
+def velocity_modes(phi_hat, s_hat, h):
+    """The dealiased velocity: S_hat on the 2/3-rule modes, and on the rest
+    -k^4 phi_hat, which cancels the implicit part.  h is not read."""
+    f = -decay_rates(phi_hat.shape[0]) * phi_hat
+    np.copyto(f, s_hat, where=_ops(phi_hat.shape[0])[3])
+    return f
+
+
+def advance(phi, inc):
+    """phi plus the field of spectrum inc (overwritten) without its zero
+    mode, which keeps the gauge."""
+    inc[0, 0] = 0.0
+    out = _nodal(inc, phi.shape[0])
+    out += phi
+    return out
+
+
 def scalar_evolution(h, s, lap_s=None, bilap_s=None):
     """Spatial side of the scalar-curvature evolution identity.
 

@@ -4,6 +4,9 @@ These tests run over every entry of ``geometry._MODULES``, so a new
 reduction must pass them as soon as it is entered there.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ INTERFACE = (
     "average_scalar", "volume", "laplacian", "grad_norm", "integral",
     "scalar_evolution", "extremality_residual", "sobolev_gap",
     "futaki_pairing", "random_potential", "rough_potential",
+    "decay_rates", "velocity_modes", "advance",
 )
 
 ENGINE = {"dt": 0.125, "streak": 0, "next_sample_t": 0.5,
@@ -231,6 +235,47 @@ def test_step_energies_are_the_states_energies(backend):
                               res.new_state.t)
     assert res.energy_after == geometry.calabi_energy(res.new_state)
     assert res.energy_after == geometry.calabi_energy(after)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_step_refuses_a_dt_that_is_not_finite_and_positive(backend, dt):
+    with pytest.raises(ValueError, match="dt"):
+        flow.step(perturbed(backend), dt)
+
+
+def test_torus_velocity_modes_are_the_dealiased_velocity():
+    # S_hat, the transform of rhs, on the 2/3-rule modes; -k^4 phi_hat,
+    # which cancels the implicit part, on the rest.
+    state = perturbed(geometry.TORUS)
+    ops = geometry.backend_module(geometry.TORUS)
+    phi_hat = geometry.spectrum(state)
+    got = ops.velocity_modes(phi_hat, geometry.scalar_spectrum(state),
+                             geometry.base_field(state))
+    mask = ops._ops(state.resolution)[3]
+    want = np.fft.rfft2(flow.rhs(state).values)
+    assert got[mask].tobytes() == want[mask].tobytes()
+    rest = -ops.decay_rates(state.resolution) * phi_hat
+    assert got[~mask].tobytes() == rest[~mask].tobytes()
+
+
+def test_no_module_outside_geometry_imports_a_backend_module():
+    # Backend code is reached through ``geometry.backend_module`` only, so
+    # a new backend needs its module and one table entry.
+    package = pathlib.Path(flow.__file__).parent
+    names = {"torus", "toric"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(set(m.split(".")) & names for m in mods):
+                found.append((path.name, node.lineno))
+    assert found == []
 
 
 FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",

@@ -376,6 +376,24 @@ class TestDamagedInputs:
         assert payload["error_class"] == "CorruptFile"
         assert key in payload["message"]
 
+    def test_checkpoint_step_size_above_dt_max(self, tmp_path, capsys,
+                                               edit_header):
+        # Such a checkpoint used to resume with one step of its dt.
+        manifest = write_manifest(
+            tmp_path,
+            initial={"preset": "random", "seed": 5, "amplitude": 0.2},
+        )
+        out = tmp_path / "out"
+        run_cli(["run", manifest, "--outdir", str(out)], capsys)
+        ckpt = out / "checkpoint_0001.ckpt"
+        edit_header(ckpt, lambda h: h["engine"].update(dt=2.5))
+        code, payload = one_line_error(
+            ["run", manifest, "--outdir", str(tmp_path / "o2"),
+             "--resume", str(ckpt)], capsys)
+        assert code == 1
+        assert payload["error_class"] == "CorruptFile"
+        assert "dt 2.5" in payload["message"]
+
     def test_final_checkpoint_of_a_run_without_checkpoints_resumes(
             self, tmp_path, capsys):
         manifest = write_manifest(

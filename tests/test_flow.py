@@ -154,6 +154,24 @@ class TestRun:
             with pytest.raises(CorruptFile, match=key):
                 flow.resume(cfg, bad)
 
+    def test_resume_refuses_a_step_size_outside_the_bounds(self, tmp_path):
+        # run keeps dt within [dt_min, dt_max], the bounds included; a
+        # checkpoint with any other dt is corrupt.
+        cfg = flow.FlowConfig(
+            backend="torus", resolution=16, dt_init=1e-3, dt_min=1e-8,
+            dt_max=0.1, t_end=0.2, sample_interval=0.1,
+        )
+        flow.run(cfg, torus_state(n=16), checkpoint_dir=str(tmp_path))
+        ckpt = traceio.read_checkpoint(tmp_path / "final.ckpt")
+        for dt in (cfg.dt_min, cfg.dt_max):
+            flow.resume(cfg, traceio.CheckpointData(
+                ckpt.state, {**ckpt.engine, "dt": dt}, ckpt.config_hash))
+        for dt in (0.5 * cfg.dt_min, 2.5):
+            bad = traceio.CheckpointData(
+                ckpt.state, {**ckpt.engine, "dt": dt}, ckpt.config_hash)
+            with pytest.raises(CorruptFile, match="dt"):
+                flow.resume(cfg, bad)
+
     def test_toric_resume_after_another_resolution_matches(self, tmp_path):
         # The step's modes are kept per M: a toric run at another M in
         # between must leave the resumed M=64 run reproducing the full
@@ -315,7 +333,7 @@ class TestRun:
         state = toric_state(m=m)
         dts = (1e-3, 2e-3, 4e-3)
         monkeypatch.setattr(toric, "_CACHE", {})
-        want = {dt: flow._toric_implicit_step(state, dt).tobytes()
+        want = {dt: flow.step(state, dt).new_state.values.tobytes()
                 for dt in dts}
         calls = count_eigh(monkeypatch)
         start = threading.Barrier(8)
@@ -323,7 +341,7 @@ class TestRun:
         def steps(k):
             order = dts[k % 3:] + dts[:k % 3]
             start.wait(timeout=60)
-            return [(dt, flow._toric_implicit_step(state, dt).tobytes())
+            return [(dt, flow.step(state, dt).new_state.values.tobytes())
                     for dt in order for _ in range(200)]
 
         interval = sys.getswitchinterval()

@@ -134,10 +134,13 @@ class TestRoundStateModes:
         # The round-state operator (q^2 v'')'' has eigenvalues
         # (l-1) l (l+1) (l+2) on degree-l polynomials: the two affine
         # gauge modes at 0, then 24, 120, 360, 840 for l = 2..5.  The
-        # modes hold one spectrum per parity; merged they are the pencil's.
+        # rates are one spectrum per parity, the even block's first;
+        # merged they are the pencil's.
         (_, even, _), (_, odd, _) = toric.ops(m).modes
         assert (even.size, odd.size) == (m - m // 2, m // 2)
-        lam = np.sort(np.concatenate([even, odd]))
+        rates = toric.decay_rates(m)
+        assert rates.tobytes() == np.concatenate([even, odd]).tobytes()
+        lam = np.sort(rates)
         assert np.all(lam >= 0.0)
         assert np.all(lam[:2] < 1e-6)
         assert even[0] < 1e-6 and odd[0] < 1e-6  # the constant and x
@@ -156,7 +159,7 @@ class TestRoundStateModes:
             delta = np.linalg.solve(np.diag(o.weights) + dt * dense_k0(o),
                                     dt * o.weights * f)
             want = toric.strip_affine(state.values + delta)
-            got = flow._toric_implicit_step(state, dt)
+            got = flow.step(state, dt).new_state.values
             assert (np.max(np.abs(got - want))
                     < 1e-10 * np.max(np.abs(delta))), m
 
