@@ -15,7 +15,6 @@ from .errors import (
     DomainError,
     NonKahler,
     SchemaMismatch,
-    SolverFailure,
     VersionMismatch,
 )
 from .flow import FlowConfig, RunResult, StepResult, run, step
@@ -34,8 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadParams", "CalabiLabError", "CorruptFile", "DiagnosticsSample",
     "DomainError", "FlowConfig", "MetricState", "NonKahler", "RunResult",
-    "ScalarField", "SchemaMismatch", "SolverFailure", "StepResult", "Trace",
-    "VersionMismatch", "curvature_scale", "flat_state", "rescale_trace",
-    "round_state", "run", "step", "synthetic_trace", "toric_state",
-    "torus_state",
+    "ScalarField", "SchemaMismatch", "StepResult", "Trace", "VersionMismatch",
+    "curvature_scale", "flat_state", "rescale_trace", "round_state", "run",
+    "step", "synthetic_trace", "toric_state", "torus_state",
 ]

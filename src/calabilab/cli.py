@@ -227,11 +227,18 @@ def cmd_sweep(args):
     manifests = sorted(glob.glob(args.manifests))
     if not manifests:
         raise BadParams(f"no manifests match {args.manifests!r}")
-    root = _resolve_outdir(args.outdir, None)
-    items = []
+    # Each run gets the directory named by its manifest's file stem, so
+    # two manifests with one stem would write the same files.
+    by_stem = {}
     for path in manifests:
         stem = os.path.splitext(os.path.basename(path))[0]
-        items.append((path, _makedirs(os.path.join(root, stem))))
+        if stem in by_stem:
+            raise BadParams(f"manifests {by_stem[stem]} and {path} share "
+                            f"the run directory name {stem!r}")
+        by_stem[stem] = path
+    root = _resolve_outdir(args.outdir, None)
+    items = [(path, _makedirs(os.path.join(root, stem)))
+             for stem, path in by_stem.items()]
     # A fork-started pool launches all its workers at the first submit.
     workers = min(args.jobs, len(items))
     if workers > 1:
@@ -261,8 +268,16 @@ def cmd_sweep(args):
     return 0 if payload["status"] == "ok" else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as BadParams, so that it ends in the one-line
+    JSON error like every other failure; its subparsers share the class."""
+
+    def error(self, message):
+        raise BadParams(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="calabilab",
         description="Flow runs, trace analysis and acceptance verification "
                     "for the Calabi-flow laboratory.",
@@ -300,9 +315,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CalabiLabError as exc:
         print(json.dumps({

@@ -2,10 +2,10 @@
 
 Each sample stores the three sup-norm curvature envelopes (sup |S|,
 sup |hess S|, sup |Rm|), the energy, volume and average scalar curvature,
-two higher-derivative smoothing probes, and, when the extra inputs are
-available, the discrete scalar-evolution residual, the Futaki pairing over
-the backend's holomorphic basis fields, and an automorphism-minimized
-Sobolev gap to a reference state.
+two higher-derivative smoothing probes, the Futaki pairing over the
+backend's holomorphic basis fields, and, when the extra inputs are
+available, the discrete scalar-evolution residual and an
+automorphism-minimized Sobolev gap to a reference state.
 """
 
 from typing import NamedTuple
@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import SolverFailure
 
 
 class DiagnosticsSample(NamedTuple):
@@ -55,8 +54,8 @@ def futaki(state, rows):
     of coefficients against the backend's basis (see ``basis_fields``).
 
     The backend's ``futaki_pairing`` pairs S - S_bar with each field by
-    its own formula; only the torus one needs a potential f with
-    lap_g f = S - S_bar, and it raises SolverFailure if f is uncertified.
+    its own closed formula; neither solves for the potential f with
+    lap_g f = S - S_bar (the torus reads one transform of h (S - S_bar)).
     A row of the wrong length raises ValueError.
     """
     s = geometry.scalar_curvature(state).values
@@ -112,22 +111,17 @@ def sample(state, prev=None, dt=None, reference=None):
 
     ``prev``/``dt`` fill the cross-step evolution residual; ``reference``
     fills the automorphism gap.  The futaki field stores the largest
-    magnitude of the pairing over the backend's basis fields; it is left
-    empty when the torus scalar-potential solve cannot certify its
-    tolerance at the state's resolution (the field is optional, and a
-    rough transient must not abort a recording run).
+    magnitude of the pairing over the backend's basis fields.
 
     The fields that read only what the step derived for ``state`` come
     first, which keeps the peak memory of a sample down.  The evolution
     residual then derives lap_g S, lap_g(lap_g S) and E for ``state`` (and
     for ``prev`` if no one did), and the norms and probes reuse the first
-    two: 8 FFTs on the torus when ``prev`` has its E.
+    two: 7 FFTs on the torus when ``prev`` has its E, one of them the
+    Futaki pairing's transform of h (S - S_bar).
     """
-    try:
-        fut = max(map(abs, futaki(state, basis_fields(state.backend))),
-                  default=0.0)
-    except SolverFailure:
-        fut = None
+    fut = max(map(abs, futaki(state, basis_fields(state.backend))),
+              default=0.0)
     gap = None if reference is None else automorphism_gap(state, reference)
     evo = None
     if prev is not None:

@@ -17,10 +17,6 @@ class DomainError(CalabiLabError):
     """A trace query outside the domain where the quantity is defined."""
 
 
-class SolverFailure(CalabiLabError):
-    """A linear solve did not reach its required residual tolerance."""
-
-
 class BadParams(CalabiLabError):
     """Invalid parameters for a synthetic-trace generator or preset."""
 

@@ -30,7 +30,7 @@ from numbers import Integral
 
 import numpy as np
 
-from ..errors import BadParams, SolverFailure
+from ..errors import BadParams
 
 FLOW_SIGN = 1.0  # the flow moves phi by S - S_bar itself
 FIELD_DIM = 2  # holomorphic fields: the constant translations
@@ -39,7 +39,6 @@ EVOLUTION_READS_LAPLACIANS = True  # E reads lap_g S and lap_g^2 S
 ZERO_PRESET = "flat"  # the preset whose potential vanishes
 
 _GAUGE_TOL = 1e-9
-FUTAKI_TOL = 1e-10  # certified residual of the Futaki Poisson solve
 
 _CACHE = {}
 
@@ -227,28 +226,6 @@ def extremality_residual(h, s):
     return float(np.sqrt(integral(h, np.abs(dzbar) ** 2)))
 
 
-def poisson_solve(h, rhs):
-    """Solve lap_g f = rhs (zero-mean data) for the zero-mean potential f.
-
-    The metric Laplacian factors exactly through the flat operator in this
-    reduction: lap_g f = lap0(f)/h, so a single spectral inversion of
-    h * rhs is the whole solve.  Returns (f_hat, residual_sup), f_hat the
-    spectrum of f and the residual evaluated on the grid.
-    """
-    n = h.shape[0]
-    _, _, k2, _ = _ops(n)
-    data = h * rhs
-    data -= data.mean()
-    f_hat = spectrum(data)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_hat /= -k2
-    f_hat[0, 0] = 0.0
-    resid = laplacian(h, f_hat)
-    data /= h
-    resid -= data
-    return f_hat, float(np.max(np.abs(resid)))
-
-
 def sobolev_gap(a_hat, b_hat):
     """Order-2 Sobolev norm of the potential gap, minimized over the grid
     translations of the first potential; both are given as spectra.
@@ -292,25 +269,24 @@ def _weighted_power(wgt, spec, n):
 
 def futaki_pairing(h, phi_hat, dev, rows):
     """int V(f) dV for each constant field V = a d/dx + b d/dy in rows,
-    where lap_g f = dev = S - S_bar; SolverFailure unless the solve's
-    residual is within FUTAKI_TOL * max(1, sup |dev|).
+    where lap_g f = dev, read from the spectrum D_hat of h * dev: no solve.
 
     The integral is a sum over modes (Parseval): V(f) has the spectrum
     i (a k_x + b k_y) f_hat and h the spectrum n^2 delta_0 - k^2 phi_hat.
     V(f) has no constant mode, so only -k^2 phi_hat pairs with it, and
     Re(i k f_hat conj(-k^2 phi_hat)) = k k^2 Im(f_hat conj(phi_hat)).
+    Since lap_g f = lap0(f) / h, k^2 f_hat = -D_hat, so the pairing is
+
+        -(cell / n^2) sum_k (a k_x + b k_y) w_k Im(D_hat conj(phi_hat))
+
+    with w_k the half-spectrum weights.  The mean of h * dev only moves
+    the k = 0 mode, whose factor a*0 + b*0 drops it.
     """
-    f_hat, resid = poisson_solve(h, dev)
-    if resid > FUTAKI_TOL * max(1.0, float(np.max(np.abs(dev)))):
-        raise SolverFailure(
-            f"scalar potential solve residual {resid:.3e} exceeds "
-            f"{FUTAKI_TOL:.1e}"
-        )
     n = h.shape[0]
-    kx, ky, k2, _ = _ops(n)
-    cross = f_hat.imag * phi_hat.real
-    cross -= f_hat.real * phi_hat.imag
-    cross *= k2
+    kx, ky, _, _ = _ops(n)
+    d_hat = spectrum(h * dev)
+    cross = d_hat.real * phi_hat.imag
+    cross -= d_hat.imag * phi_hat.real
     cross *= _half_weights(n)
     scale = cell_area(n) / (n * n)
     px = scale * float(kx @ cross.sum(axis=1))

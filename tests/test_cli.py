@@ -842,6 +842,36 @@ class TestSweep:
         assert code == 1
         assert payload["error_class"] == "BadParams"
 
+    def test_manifests_sharing_a_stem_refused(self, tmp_path, capsys):
+        # Both runs would write runs/run/: refused before anything is made.
+        for sub, seed in (("a", 1), ("b", 2)):
+            (tmp_path / sub).mkdir()
+            write_manifest(
+                tmp_path / sub, name="run.json",
+                initial={"preset": "random", "seed": seed, "amplitude": 0.2})
+        runs = tmp_path / "runs"
+        code, payload = one_line_error(
+            ["sweep", str(tmp_path / "*" / "run.json"), "--jobs", "2",
+             "--outdir", str(runs)], capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        for sub in ("a", "b"):
+            assert str(tmp_path / sub / "run.json") in payload["message"]
+        assert not runs.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    ["run"],
+    ["verify", "nosuch"],
+    ["sweep", "x", "--jobs", "abc"],
+    ["analyze", "x", "--alpha", "zz"],
+])
+def test_usage_error_is_one_json_line(argv, capsys):
+    code, payload = one_line_error(argv, capsys)
+    assert code == 1
+    assert payload["error_class"] == "BadParams"
+
 
 def test_cross_process_determinism(tmp_path):
     # Two separate interpreter processes must produce byte-identical
