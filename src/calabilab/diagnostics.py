@@ -35,7 +35,7 @@ class DiagnosticsSample(NamedTuple):
 
 SAMPLE_SCHEMA = DiagnosticsSample._fields
 
-# The fields a sample may leave blank (``None``; ``-`` in a trace file).
+# The fields a sample may leave blank (``None``; a blank mask in a trace file).
 OPTIONAL_FIELDS = tuple(DiagnosticsSample._field_defaults)
 
 

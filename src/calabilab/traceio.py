@@ -2,16 +2,25 @@
 
 Every artifact starts with a single-line JSON header carrying
 ``format_version``, ``kind`` and the kind-specific fields listed below.
-The version is per kind (``FORMAT_VERSIONS``): traces and reports are
-version 1, checkpoints version 2, and a reader refuses any version above
+The version is per kind (``FORMAT_VERSIONS``): traces and checkpoints
+are version 2, reports version 1, and a reader refuses any version above
 its kind's.
 
-* trace (v1): after the header, one sample per line, space-separated
-  columns.  The header declares the sample schema (column order) and the
-  sample count.  Every float is written with ``repr``, whose shortest
-  round-trip representation restores the exact double, so
-  read(write(x)) is bit-identical; missing optional values are the single
-  character ``-``.
+* trace (v2): the header declares the sample count ``n_samples``, the
+  column names ``columns`` in body order and the names ``optional`` of
+  the columns that carry a blank mask.  After the header's newline come
+  ``n_samples`` little-endian float64 (``<f8``) values per column, one
+  column after another, then one ``uint8`` mask per optional column, in
+  ``optional`` order: 1 where the sample leaves the field blank, else 0.
+  The body length follows from the header alone.  The reader maps
+  columns by name, so their order is free; a column of this build's
+  schema that the file lacks reads blank when it is optional and is
+  refused when it is required.  A blank entry and a recorded nan stay
+  distinct, and every bit of every value survives.
+* trace (v1, read only): after the header, which declares the sample
+  schema (column order) and the sample count, one sample per line,
+  space-separated ``repr`` values, ``-`` where an optional field is
+  blank.  The schema must be this build's.
 * checkpoint (v2): the header declares the value count ``n_values`` and
   carries the adaptive-engine state needed for bit-exact resume.  After
   the header's newline come the raw grid values, ``n_values``
@@ -24,15 +33,19 @@ the standard library parser.
 
 Error taxonomy: damaged bodies (truncation, arity, unparsable tokens, a
 blank required column, sample times that are not finite, strictly
-increasing and inside [t_start, t_end], a value count or payload length
-that does not fill the declared grid, a missing value, values the backend
+increasing and inside [t_start, t_end], a body length other than the
+header declares, a mask byte other than 0 or 1, a value count that does
+not fill the declared grid, a missing value, values the backend
 refuses), headers and text files that do not decode, traces without a
 finite ``t_start`` and ``t_end``, checkpoints without a finite time or a
 complete engine state, counts (``n_samples``, ``n_values``) that are not
-integers, and a trace ``metadata`` or a ``report`` that is not a JSON
-object are ``CorruptFile``; header-level disagreements (kind, backend,
-schema, a resolution the backend does not support) are
-``SchemaMismatch``; an unsupported ``format_version`` is
+integers, trace ``columns`` or ``optional`` that are not lists of
+distinct names (``optional`` a subset of ``columns``), and a trace
+``metadata`` or a ``report`` that is not a JSON object are
+``CorruptFile``; header-level disagreements (kind, backend, a v1 schema
+other than this build's, a trace column this build does not know or a
+required one the trace lacks, a resolution the backend does not
+support) are ``SchemaMismatch``; an unsupported ``format_version`` is
 ``VersionMismatch``.
 
 Writers never leave a partial file at the final path: each writes a
@@ -48,12 +61,12 @@ import threading
 import numpy as np
 
 from . import geometry
-from .diagnostics import SAMPLE_SCHEMA
+from .diagnostics import OPTIONAL_FIELDS, SAMPLE_SCHEMA
 from .errors import CorruptFile, SchemaMismatch, VersionMismatch
 from .scale import TERMINATIONS, Trace, record_columns
 
 # The version each kind is written in; a reader takes 1 up to it.
-FORMAT_VERSIONS = {"trace": 1, "checkpoint": 2, "report": 1}
+FORMAT_VERSIONS = {"trace": 2, "checkpoint": 2, "report": 1}
 
 # The adaptive-engine fields a checkpoint must carry to resume a run
 # (``flow.EngineState``).
@@ -132,34 +145,33 @@ def _header(text, want_kind):
 
 
 def write_trace(trace, path):
-    """Write ``trace`` from its columns: each value as its ``repr``, ``-``
-    where an optional field is blank."""
+    """Write ``trace`` in format v2: each column's raw ``<f8`` values, then
+    each optional column's blank mask as ``uint8``."""
     head = {
         "format_version": FORMAT_VERSIONS["trace"],
         "kind": "trace",
         "backend": trace.metadata.get("backend"),
         "resolution": trace.metadata.get("resolution"),
         "config_hash": trace.metadata.get("config_hash"),
-        "schema": list(SAMPLE_SCHEMA),
+        "columns": list(SAMPLE_SCHEMA),
+        "optional": list(OPTIONAL_FIELDS),
         "n_samples": len(trace),
         "t_start": trace.t_start,
         "t_end": trace.t_end,
         "termination": trace.termination,
         "metadata": trace.metadata,
     }
-
-    cells = {name: list(map(repr, col.tolist()))
-             for name, col in trace.columns.items()}
-    for name, blank in trace.absent.items():
-        for i in np.flatnonzero(blank).tolist():
-            cells[name][i] = "-"
+    line = (json.dumps(head, sort_keys=True) + "\n").encode()
 
     def write(fh):
-        fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for row in zip(*cells.values()):
-            fh.write(" ".join(row) + "\n")
+        fh.write(line)
+        # On a little-endian host these are the trace's own arrays.
+        for name in SAMPLE_SCHEMA:
+            fh.write(np.ascontiguousarray(trace.columns[name], "<f8"))
+        for name in OPTIONAL_FIELDS:
+            fh.write(trace.absent[name].view(np.uint8))
 
-    _write_atomic(path, write)
+    _write_atomic(path, write, "wb")
 
 
 def _finite_number(value, what):
@@ -184,15 +196,83 @@ def _object(value, what):
     return value
 
 
+def _names(head, key):
+    """The header's ``key`` entry if it is a list of distinct names."""
+    names = head[key]
+    if not (isinstance(names, list)
+            and all(isinstance(name, str) for name in names)):
+        raise CorruptFile(f"trace {key} {names!r} is not a list of names")
+    if len(set(names)) != len(names):
+        raise CorruptFile(f"trace {key} names a column twice: {names!r}")
+    return names
+
+
+def _layout(head):
+    """(columns, optional) of a v2 trace header, checked against this
+    build's schema: every name known, every required column present."""
+    names, optional = _names(head, "columns"), _names(head, "optional")
+    if not set(optional) <= set(names):
+        raise CorruptFile("trace optional names a column not in columns")
+    unknown = [name for name in names if name not in SAMPLE_SCHEMA]
+    if unknown:
+        raise SchemaMismatch(
+            f"trace columns unknown to this build: {', '.join(unknown)}")
+    missing = [name for name in SAMPLE_SCHEMA
+               if name not in names and name not in OPTIONAL_FIELDS]
+    if missing:
+        raise SchemaMismatch(
+            f"trace lacks required columns: {', '.join(missing)}")
+    return names, optional
+
+
+def _binary_columns(body, n_samples, names, optional):
+    """(columns, absent) of a v2 trace body: read-only views of ``body``,
+    plus an all-blank column for each optional column the trace lacks."""
+    size = n_samples * (8 * len(names) + len(optional))
+    if len(body) != size:
+        raise CorruptFile(
+            f"expected {size} body bytes for {n_samples} samples of "
+            f"{len(names)} columns and {len(optional)} masks, found "
+            f"{len(body)}")
+    values = np.frombuffer(body, "<f8", n_samples * len(names))
+    masks = np.frombuffer(body, np.uint8, offset=values.nbytes)
+    if np.any(masks > 1):
+        raise CorruptFile("a blank mask byte is neither 0 nor 1")
+    columns = dict(zip(names, values.reshape(len(names), n_samples)))
+    absent = dict(zip(optional,
+                      masks.view(bool).reshape(len(optional), n_samples)))
+    for name, mask in absent.items():
+        if name not in OPTIONAL_FIELDS and mask.any():
+            raise CorruptFile(f"required column {name} is blank")
+    for name in OPTIONAL_FIELDS:
+        if name not in columns:
+            columns[name] = np.full(n_samples, math.nan)
+            absent[name] = np.ones(n_samples, bool)
+    return columns, absent
+
+
+def _text_columns(body, n_samples):
+    """(columns, absent) of a v1 trace body: one line of tokens a sample."""
+    lines = _decode(body, "file").splitlines()
+    if len(lines) != n_samples:
+        raise CorruptFile(
+            f"expected {n_samples} samples, found {len(lines)} lines"
+        )
+    return record_columns((line.split() for line in lines), "-")
+
+
 def read_trace(path):
     with open(path, "rb") as fh:
         head = _first_line(fh, "trace")
-        body = _decode(fh.read(), "file").splitlines()
-    for key in ("schema", "n_samples", "t_start", "t_end", "termination"):
+        body = fh.read()
+    text = head["format_version"] == 1
+    for key in (("schema",) if text else ("columns", "optional")) + (
+            "n_samples", "t_start", "t_end", "termination"):
         if key not in head:
             raise CorruptFile(f"trace header is missing {key!r}")
-    if head["schema"] != list(SAMPLE_SCHEMA):
+    if text and head["schema"] != list(SAMPLE_SCHEMA):
         raise SchemaMismatch("trace schema differs from this build's schema")
+    layout = None if text else _layout(head)
     if head["termination"] not in TERMINATIONS:
         raise SchemaMismatch(
             f"unknown termination {head['termination']!r}"
@@ -201,14 +281,12 @@ def read_trace(path):
     t_end = _finite_number(head["t_end"], "trace t_end")
     n_samples = _count(head["n_samples"], "trace n_samples")
     metadata = _object(head.get("metadata", {}), "trace metadata")
-    if len(body) != n_samples:
-        raise CorruptFile(
-            f"expected {n_samples} samples, found {len(body)} lines"
-        )
     # A ValueError here (arity, a token, a blank, the times) is damage.
     try:
-        columns, absent = record_columns(
-            (line.split() for line in body), "-")
+        if text:
+            columns, absent = _text_columns(body, n_samples)
+        else:
+            columns, absent = _binary_columns(body, n_samples, *layout)
         return Trace.from_columns(columns, t_start, t_end,
                                   head["termination"], metadata, absent)
     except ValueError as exc:

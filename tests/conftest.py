@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -20,3 +21,19 @@ def edit_header():
             json.dumps(head, sort_keys=True).encode() + b"\n" + rest)
 
     return edit
+
+
+@pytest.fixture
+def set_trace_value():
+    """``set(path, column, sample, value)``: overwrite one value of a
+    version 2 trace's body in place; every other byte is kept."""
+    def set_value(path, column, sample, value):
+        data = bytearray(path.read_bytes())
+        start = data.index(b"\n") + 1
+        head = json.loads(data[:start])
+        at = start + 8 * (head["columns"].index(column) * head["n_samples"]
+                          + sample)
+        data[at:at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+
+    return set_value

@@ -493,26 +493,20 @@ class TestDamagedInputs:
 
     @pytest.mark.parametrize("damage", ["t_start", "t_end", "repeat", "nan",
                                         "metadata", "n_samples"])
-    def test_damaged_trace_for_analyze(self, tmp_path, capsys, damage):
+    def test_damaged_trace_for_analyze(self, tmp_path, capsys, damage,
+                                       edit_header, set_trace_value):
         path = tmp_path / "d.trace"
         traceio.write_trace(
             scale.synthetic_trace("constant", value=1.0, n=11), path)
-        lines = path.read_text().splitlines()
-        head = json.loads(lines[0])
-        if damage == "t_start":
-            head["t_start"] = "soon"
-        elif damage == "t_end":
-            head["t_end"] = None
-        elif damage == "metadata":
-            head["metadata"] = [1]
-        elif damage == "n_samples":
-            head["n_samples"] = str(head["n_samples"])
+        if damage in ("repeat", "nan"):
+            times = traceio.read_trace(path).columns["t"]
+            set_trace_value(path, "t", 2,
+                            times[1] if damage == "repeat" else math.nan)
         else:
-            row = lines[3].split()
-            row[0] = lines[2].split()[0] if damage == "repeat" else "nan"
-            lines[3] = " ".join(row)
-        lines[0] = json.dumps(head, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n")
+            # n_samples becomes the string of its own value.
+            bad = {"t_start": "soon", "t_end": None, "metadata": [1]}
+            edit_header(path, lambda head: head.update(
+                {damage: bad.get(damage, str(head[damage]))}))
         code, payload = one_line_error(
             ["analyze", str(path), "--outdir", str(tmp_path)], capsys)
         assert code == 1

@@ -122,12 +122,13 @@ def test_round_trip_keeps_every_bit(tmp_path_factory, records):
 
 
 class TestTraceErrors:
+    """Damage to the text of a version 1 trace (the v1 golden)."""
+
     def write(self, tmp_path, mutate):
-        tr = small_trace(10)
-        path = tmp_path / "x.trace"
-        traceio.write_trace(tr, path)
-        lines = path.read_text().splitlines()
+        with open(os.path.join(GOLDEN, "trace_v1.trace")) as fh:
+            lines = fh.read().splitlines()
         mutate(lines)
+        path = tmp_path / "x.trace"
         path.write_text("\n".join(lines) + "\n")
         return path
 
@@ -208,26 +209,210 @@ class TestTraceErrors:
 
         with pytest.raises(CorruptFile):
             traceio.read_trace(set_time(value))
-        # An int time still reads (small_trace spans [0, 5]).
-        whole = 0 if key == "t_start" else 5
+        # An int time still reads (the golden's samples span [0, 0.3]).
+        whole = 0 if key == "t_start" else 1
         assert getattr(traceio.read_trace(set_time(whole)), key) == whole
 
     @pytest.mark.parametrize("time", ["repeat", "nan", "inf", "past_end"])
     def test_sample_times_must_be_finite_increasing_and_inside(
             self, tmp_path, time):
         def mutate(ls):
+            # The golden's last sample, ls[3], follows ls[2].
             row = ls[3].split()
             row[0] = {"repeat": ls[2].split()[0], "nan": "nan", "inf": "inf",
                       "past_end": "1e6"}[time]
             ls[3] = " ".join(row)
-            if time == "past_end":
-                del ls[4:]
-                head = json.loads(ls[0])
-                head["n_samples"] = 3
-                ls[0] = json.dumps(head)
 
         with pytest.raises(CorruptFile):
             traceio.read_trace(self.write(tmp_path, mutate))
+
+
+def v2_copy(tmp_path):
+    """A copy of the version 2 golden trace (3 samples, t in [0, 0.3])."""
+    path = tmp_path / "v2.trace"
+    with open(os.path.join(GOLDEN, "trace_v2.trace"), "rb") as fh:
+        path.write_bytes(fh.read())
+    return path
+
+
+def reencode(path, columns, optional):
+    """Rewrite the version 2 trace at ``path`` with only ``columns``, in
+    that order, and the masks of ``optional``, all from its own body."""
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1
+    head = json.loads(data[:start])
+    n, names, masked = head["n_samples"], head["columns"], head["optional"]
+    values = np.frombuffer(data, "<f8", n * len(names), start)
+    masks = np.frombuffer(data, np.uint8, offset=start + values.nbytes)
+    values, masks = values.reshape(-1, n), masks.reshape(-1, n)
+    head.update(columns=columns, optional=optional)
+    path.write_bytes(
+        json.dumps(head, sort_keys=True).encode() + b"\n"
+        + b"".join(values[names.index(c)].tobytes() for c in columns)
+        + b"".join(masks[masked.index(c)].tobytes() for c in optional))
+
+
+@pytest.fixture
+def grow_schema(monkeypatch):
+    """``grow(name, optional=True)``: give this build's schema one more
+    column, after the optional columns or after the required ones."""
+    def grow(name, optional=True):
+        at = len(SAMPLE_SCHEMA) if optional else scale._N_REQUIRED
+        schema = SAMPLE_SCHEMA[:at] + (name,) + SAMPLE_SCHEMA[at:]
+        masked = OPTIONAL_FIELDS + (name,) if optional else OPTIONAL_FIELDS
+        for module in (scale, traceio):
+            monkeypatch.setattr(module, "SAMPLE_SCHEMA", schema)
+            monkeypatch.setattr(module, "OPTIONAL_FIELDS", masked)
+        monkeypatch.setattr(scale, "_N_REQUIRED", len(schema) - len(masked))
+
+    return grow
+
+
+class TestTraceFormat:
+    """Version 2: raw columns mapped by name, masks, and their damage."""
+
+    def test_round_trip_keeps_signed_zeros_subnormals_and_extremes(
+            self, tmp_path):
+        big = np.finfo(float).max
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        special = [-0.0, tiny, -tiny, 2.5 * tiny, np.finfo(float).tiny / 3,
+                   math.inf, -math.inf, math.nan, big, -big]
+        n = len(special)
+        columns = {name: np.zeros(n) for name in SAMPLE_SCHEMA}
+        columns["t"] = np.arange(n, dtype=float)
+        columns["sup_scalar"] = np.array(special)
+        columns["futaki"] = np.array(special[::-1])
+        tr = scale.Trace.from_columns(columns, 0.0, n, "completed", {},
+                                      {"futaki": np.arange(n) % 3 == 0})
+        path = tmp_path / "s.trace"
+        traceio.write_trace(tr, path)
+        back = traceio.read_trace(path)
+        for name in ("sup_scalar", "futaki"):
+            assert np.array_equal(back.columns[name].view(np.int64),
+                                  tr.columns[name].view(np.int64))
+        assert np.signbit(back.columns["sup_scalar"][0])
+        assert np.array_equal(back.absent["futaki"], np.arange(n) % 3 == 0)
+        assert back == tr
+
+    @pytest.mark.parametrize("damage", [
+        "one byte short", "one byte long", "mask byte 2", "no body",
+    ])
+    def test_damaged_body_is_corrupt(self, tmp_path, damage):
+        path = v2_copy(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes({
+            "one byte short": data[:-1],
+            "one byte long": data + b"\0",
+            "mask byte 2": data[:-1] + b"\2",
+            "no body": data[:data.index(b"\n") + 1],
+        }[damage])
+        with pytest.raises(CorruptFile):
+            traceio.read_trace(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("columns", 5), ("columns", None), ("columns", ["t", 1]),
+        ("columns", list(SAMPLE_SCHEMA) + ["t"]), ("optional", "futaki"),
+        ("optional", ["futaki", "futaki"]), ("optional", ["no_such"]),
+        ("metadata", [1]), ("n_samples", "3"), ("n_samples", 3.0),
+        ("t_start", "soon"), ("t_end", None), ("t_end", math.inf),
+        ("columns", "missing"), ("optional", "missing"),
+    ])
+    def test_damaged_header_is_corrupt(self, tmp_path, edit_header, key,
+                                       value):
+        path = v2_copy(tmp_path)
+        edit_header(path, lambda h: h.pop(key) if value == "missing"
+                    else h.update({key: value}))
+        with pytest.raises(CorruptFile, match=key):
+            traceio.read_trace(path)
+
+    @pytest.mark.parametrize("time", ["repeat", "nan", "inf", "past_end"])
+    def test_sample_times_must_be_finite_increasing_and_inside(
+            self, tmp_path, set_trace_value, time):
+        path = v2_copy(tmp_path)
+        set_trace_value(path, "t", 2, {"repeat": 0.1, "nan": math.nan,
+                                       "inf": math.inf, "past_end": 1e6}[time])
+        with pytest.raises(CorruptFile):
+            traceio.read_trace(path)
+
+    def test_columns_are_mapped_by_name(self, tmp_path):
+        path = v2_copy(tmp_path)
+        reencode(path, list(SAMPLE_SCHEMA[::-1]), list(OPTIONAL_FIELDS[::-1]))
+        assert traceio.read_trace(path) == traceio.read_trace(
+            os.path.join(GOLDEN, "trace_v2.trace"))
+
+    def test_missing_optional_column_reads_blank(self, tmp_path):
+        path = v2_copy(tmp_path)
+        full = traceio.read_trace(path)
+        reencode(path, [c for c in SAMPLE_SCHEMA if c != "evolution_residual"],
+                 [c for c in OPTIONAL_FIELDS if c != "evolution_residual"])
+        back = traceio.read_trace(path)
+        assert back.absent["evolution_residual"].all()
+        assert np.isnan(back.columns["evolution_residual"]).all()
+        assert not full.absent["evolution_residual"].all()
+        for name in SAMPLE_SCHEMA:
+            if name != "evolution_residual":
+                assert np.array_equal(back.columns[name], full.columns[name],
+                                      equal_nan=True)
+
+    def test_missing_required_column_is_refused(self, tmp_path):
+        path = v2_copy(tmp_path)
+        reencode(path, [c for c in SAMPLE_SCHEMA if c != "sup_curv"],
+                 list(OPTIONAL_FIELDS))
+        with pytest.raises(SchemaMismatch, match="sup_curv"):
+            traceio.read_trace(path)
+
+    def test_a_required_column_may_carry_a_mask_but_no_blank(self, tmp_path):
+        # A mask byte 0 changes nothing; a 1 blanks a required value.
+        path = v2_copy(tmp_path)
+        line, _, body = path.read_bytes().partition(b"\n")
+        head = json.loads(line)
+        head["optional"].append("sup_curv")
+        line = json.dumps(head, sort_keys=True).encode() + b"\n"
+        path.write_bytes(line + body + b"\0\0\0")
+        assert traceio.read_trace(path) == traceio.read_trace(
+            os.path.join(GOLDEN, "trace_v2.trace"))
+        path.write_bytes(line + body + b"\0\1\0")
+        with pytest.raises(CorruptFile, match="sup_curv"):
+            traceio.read_trace(path)
+
+    def test_trace_from_before_an_optional_column_reads_it_blank(
+            self, tmp_path, grow_schema):
+        path = tmp_path / "old.trace"
+        old = small_trace(10)
+        traceio.write_trace(old, path)
+        grow_schema("new_flag")
+        back = traceio.read_trace(path)
+        assert back.absent["new_flag"].all()
+        assert np.isnan(back.columns["new_flag"]).all()
+        for name in SAMPLE_SCHEMA:
+            assert np.array_equal(back.columns[name].view(np.int64),
+                                  old.columns[name].view(np.int64))
+        for name in OPTIONAL_FIELDS:
+            assert np.array_equal(back.absent[name], old.absent[name])
+        # Written again it carries the new column, and reads back equal.
+        again = tmp_path / "new.trace"
+        traceio.write_trace(back, again)
+        assert traceio.read_trace(again) == back
+
+    def test_trace_from_before_a_required_column_is_refused(
+            self, tmp_path, grow_schema):
+        path = tmp_path / "old.trace"
+        traceio.write_trace(small_trace(10), path)
+        grow_schema("new_level", optional=False)
+        with pytest.raises(SchemaMismatch, match="new_level"):
+            traceio.read_trace(path)
+
+    def test_column_this_build_does_not_know_is_refused(
+            self, tmp_path, monkeypatch, grow_schema):
+        path = tmp_path / "new.trace"
+        grow_schema("new_flag")
+        columns = {name: np.zeros(3) for name in scale.SAMPLE_SCHEMA}
+        columns["t"] = np.arange(3.0)
+        traceio.write_trace(scale.Trace.from_columns(
+            columns, 0.0, 2.0, "completed"), path)
+        monkeypatch.undo()
+        with pytest.raises(SchemaMismatch, match="new_flag"):
+            traceio.read_trace(path)
 
 
 def golden_copy(tmp_path, name, **changes):
@@ -453,7 +638,7 @@ class TestCheckpointFormat:
             traceio.read_checkpoint(path)
         trace = tmp_path / "x.trace"
         traceio.write_trace(small_trace(5), trace)
-        edit_header(trace, lambda h: h.update(format_version=2))
+        edit_header(trace, lambda h: h.update(format_version=3))
         with pytest.raises(VersionMismatch):
             traceio.read_trace(trace)
         report = tmp_path / "r.report.json"
@@ -519,6 +704,7 @@ class TestAtomicWrites:
 
 class TestGolden:
     def test_trace_v1(self, tmp_path):
+        # The writer writes v2, so the v1 golden rewritten is the v2 golden.
         path = os.path.join(GOLDEN, "trace_v1.trace")
         tr = traceio.read_trace(path)
         assert len(tr) == 3
@@ -527,6 +713,23 @@ class TestGolden:
         assert not tr.absent["futaki"][1]
         assert tr.columns["sup_scalar"][2] == 1 / 3
         assert tr.absent["futaki"][2]
+        out = tmp_path / "copy.trace"
+        traceio.write_trace(tr, out)
+        with open(os.path.join(GOLDEN, "trace_v2.trace"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+    def test_trace_v2(self, tmp_path):
+        # The v2 golden holds the v1 golden's trace: the two read to the
+        # same trace, and the writer reproduces the v2 golden from either.
+        path = os.path.join(GOLDEN, "trace_v2.trace")
+        tr = traceio.read_trace(path)
+        assert tr == traceio.read_trace(os.path.join(GOLDEN,
+                                                     "trace_v1.trace"))
+        # A recorded 1e-12 and a blank stay distinct.
+        assert tr.columns["futaki"][1] == 1e-12
+        assert not tr.absent["futaki"][1]
+        assert tr.absent["futaki"][2]
+        assert math.isnan(tr.columns["futaki"][2])
         out = tmp_path / "copy.trace"
         traceio.write_trace(tr, out)
         with open(path, "rb") as fh:
