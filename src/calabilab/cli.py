@@ -154,9 +154,7 @@ def cmd_analyze(args):
                              os.path.dirname(os.path.abspath(args.trace)))
     stem = os.path.splitext(os.path.basename(args.trace))[0]
     report_path = os.path.join(outdir, f"{stem}.report.json")
-    report = dataclasses.asdict(rep)
-    report["curvature_scale"] = report.pop("f_values")
-    traceio.write_report(report, report_path)
+    traceio.write_report(dataclasses.asdict(rep), report_path)
     series_fields = {
         "calabi_energy": "ca",
         "sup_scalar": "sup_scalar",
@@ -172,7 +170,7 @@ def cmd_analyze(args):
         _write_series(path, zip(times, y.tolist()))
         written.append(path)
     fpath = os.path.join(outdir, f"{stem}.curvature_scale.dat")
-    _write_series(fpath, rep.f_values)
+    _write_series(fpath, rep.curvature_scale)
     written.append(fpath)
     print(json.dumps({"status": "ok", "report": report_path,
                       "series": written[1:],

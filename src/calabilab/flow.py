@@ -113,11 +113,10 @@ class EngineState:
 
 
 def rhs(state):
-    """Time derivative of the evolving potential field."""
+    """Time derivative of the evolving potential, as a nodal array."""
     s = geometry.scalar_curvature(state).values
-    sbar = geometry.average_scalar(state)
     sign = geometry.backend_module(state.backend).FLOW_SIGN
-    return geometry.ScalarField(sign * (s - sbar), state.backend)
+    return sign * (s - geometry.average_scalar(state))
 
 
 def extremality_residual(state):
@@ -214,7 +213,7 @@ def run(cfg, state0, checkpoint_dir=None, on_accept=None, engine=None):
         last_sample_t = cur.t
         geometry.forget(cur, "lap_scalar", "bilap_scalar")
 
-    if not resumed and engine.next_sample_t <= state.t:
+    if not resumed:
         emit(state, None, None)
         engine.next_sample_t = state.t + cfg.sample_interval
 

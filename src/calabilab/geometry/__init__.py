@@ -11,7 +11,8 @@ Each backend is one module providing the same names (README, "Backends").
 The functions here dispatch through ``_MODULES``, the one table that maps a
 backend name to its module, and the curvature norms, the smoothing probes
 and the Calabi energy are written once here, over the backend's
-``laplacian``, ``grad_norm`` and ``integral``.
+``laplacian``, ``grad_norm`` and ``integral``.  The class fixes the mean
+S_bar, so it is the backend's constant ``MEAN_SCALAR``.
 
 A state is a backend name, the backend's value grid (torus phi, toric v)
 and the flow time.  It derives eight things on first use and keeps them:
@@ -234,8 +235,9 @@ def scalar_spectrum(state):
 
 
 def average_scalar(state):
-    """Topological mean of S: 0 on the torus, 2 on the toric reduction."""
-    return _ops(state).average_scalar(base_field(state))
+    """Topological mean of S, fixed by the class: the backend's
+    ``MEAN_SCALAR`` (0 on the torus, 2 on the toric reduction)."""
+    return _ops(state).MEAN_SCALAR
 
 
 def volume(state):
@@ -264,17 +266,16 @@ def _bilap_scalar(state):
 
 
 def _evolution(state):
-    ops = _ops(state)
-    laps = ((_lap_scalar(state), _bilap_scalar(state))
-            if ops.EVOLUTION_READS_LAPLACIANS else ())
-    return ops.scalar_evolution(base_field(state), _scalar(state), *laps)
+    return _ops(state).scalar_evolution(
+        base_field(state), _scalar(state),
+        lambda: (_lap_scalar(state), _bilap_scalar(state)))
 
 
 def scalar_evolution(state):
     """The backend's spatial side E of the scalar evolution identity,
-    dS/dt + E = 0 along the flow (torus lap_g^2 S + S lap_g S).  lap_g S
-    and lap_g(lap_g S) are derived for it only on a backend whose form
-    reads them (``EVOLUTION_READS_LAPLACIANS``)."""
+    dS/dt + E = 0 along the flow (torus lap_g^2 S + S lap_g S).  The
+    backend gets lap_g S and lap_g(lap_g S) as a call that derives them,
+    so a form that does not read them (the toric one) derives neither."""
     return _derive(state, "evolution", _evolution)
 
 
@@ -304,6 +305,5 @@ def scalar_probes(state):
 
 
 def grid_integral(state, values):
-    """Integral of nodal values against the metric volume form."""
-    vals = values.values if isinstance(values, ScalarField) else values
-    return _ops(state).integral(base_field(state), vals)
+    """Integral of a nodal array against the metric volume form."""
+    return _ops(state).integral(base_field(state), values)

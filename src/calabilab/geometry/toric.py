@@ -18,7 +18,7 @@ which is exactly 2 at the round state v = 0 (rho = 1, and the derivative
 kernels map the zero field to zero, so the round state is stationary to
 the last bit).  The symplectic measure is dx, independent of v, hence
 volume is exactly conserved, and the boundary values rho(+-1) = 1 pin
-the average scalar curvature at 2 for every admissible state.
+the average scalar curvature at 2 (``MEAN_SCALAR``) for every state.
 
 The grid is mirror-symmetric, so D1 maps even fields to odd ones and odd
 to even, D2 keeps parity, and so does the round-state operator of the
@@ -42,7 +42,12 @@ from ..errors import BadParams
 FLOW_SIGN = -1.0
 FIELD_DIM = 1  # holomorphic fields: multiples of the circle generator
 BASE_NAME = "toric positivity"  # what the positivity check reads
-EVOLUTION_READS_LAPLACIANS = False  # E is the compact form (w^2 S'')''
+# Integrating S = -(1/u'')'' once gives int S dx = 2 (rho(1) + rho(-1)) = 4
+# for every admissible v, since (1-x^2) vanishes at the endpoints.  The
+# mean divides by the interval's exact length 2, not by the sum of the
+# quadrature weights, which rounds away from 2 at some node counts (9 and
+# 33), so the round state is a fixed point bit for bit at every M.
+MEAN_SCALAR = 2.0
 ZERO_PRESET = "round"  # the preset whose correction v vanishes
 
 _CACHE = {}
@@ -291,38 +296,24 @@ def volume(p):
     return float(np.sum(ops(p.shape[0]).weights))
 
 
-def average_scalar(p):
-    """Average scalar curvature from the boundary data of 1/u''.
-
-    Integrating S = -(1/u'')'' once gives int S dx = -[(1/u'')']_{-1}^{1}
-    = 2 (rho(1) + rho(-1)); the endpoint values of rho are 1 for every
-    admissible v because (1-x^2) vanishes there.  The quotient by the
-    interval's length 2 is therefore 2, independent of the evolving state.
-    It divides by that exact length, not by the sum of the quadrature
-    weights, which rounds away from 2 at some node counts (9 and 33), so
-    the round state is a fixed point bit for bit at every M.
-    """
-    rho_ends = 1.0 / p[[0, -1]]
-    return float(rho_ends.sum())
-
-
 def integral(p, values):
     """Integral against the symplectic measure dx (state-independent)."""
     return float(np.dot(ops(p.shape[0]).weights, values))
 
 
-def scalar_evolution(p, s):
+def scalar_evolution(p, s, laps):
     """Spatial side of the scalar evolution identity in symplectic slicing.
 
     Along dv/dt = -(S - 2) the profile w = 1/u'' obeys dw/dt = w^2 S'', so
     dS/dt = -(w^2 S'')'' exactly.  Expanding against lap_g = (w d/dx)' the
     same field reads lap_g^2 S + S lap_g S + w (S')^2; the compact form is
-    what is evaluated here, so it reads no Laplacian of S.
+    what is evaluated here, so ``laps`` (the Laplacians of S) is not
+    called.
     """
     w = _inverse_u2(p)
     # Differentiating the deviation S - 2 is exact at the round state and
     # avoids amplifying the rounding of D2 applied to a constant.
-    return diff(w * w * diff(s - average_scalar(p), 2), 2)
+    return diff(w * w * diff(s - MEAN_SCALAR, 2), 2)
 
 
 def decay_rates(m):
@@ -333,8 +324,8 @@ def decay_rates(m):
 def velocity_modes(v_spec, s_spec, p):
     """Coordinates Q' (sig y) of the velocity -(S - S_bar) in K0's
     eigenbasis (``ChebOps.modes``), even block first; y is half of each of
-    ``fold``'s parts.  v is not read."""
-    f = FLOW_SIGN * (s_spec.values - average_scalar(p))
+    ``fold``'s parts.  Neither v nor p is read."""
+    f = FLOW_SIGN * (s_spec.values - MEAN_SCALAR)
     return np.concatenate([q.T @ (0.5 * sig * y) for y, (sig, _, q)
                            in zip(fold(f), ops(f.shape[0]).modes)])
 

@@ -20,7 +20,8 @@ logarithms act on nodal values, which keeps the integral identities
     volume = (2 pi)^2,     integral of S dV = 0
 
 exact to rounding: both reduce to the vanishing of the zero mode of a
-spectral Laplacian.  The state-dependent entries take h itself, the base
+spectral Laplacian, and the second makes the mean of S the constant
+``MEAN_SCALAR`` = 0.  The state-dependent entries take h itself, the base
 field that ``geometry`` derives once per state, and the differential
 kernels take the rfft2 spectrum of the field they differentiate
 (``spectrum``), which ``geometry`` also keeps per state for phi and S.
@@ -35,7 +36,7 @@ from ..errors import BadParams
 FLOW_SIGN = 1.0  # the flow moves phi by S - S_bar itself
 FIELD_DIM = 2  # holomorphic fields: the constant translations
 BASE_NAME = "torus conformal density"  # what the positivity check reads
-EVOLUTION_READS_LAPLACIANS = True  # E reads lap_g S and lap_g^2 S
+MEAN_SCALAR = 0.0  # topological mean of S (Gauss-Bonnet)
 ZERO_PRESET = "flat"  # the preset whose potential vanishes
 
 _GAUGE_TOL = 1e-9
@@ -157,11 +158,6 @@ def volume(h):
     return cell_area(n) * float(np.sum(h))
 
 
-def average_scalar(h):
-    """Topological mean of S: 0 on the torus (Gauss-Bonnet)."""
-    return 0.0
-
-
 def decay_rates(n):
     """k^4, the flat bi-Laplacian the flow step keeps implicit."""
     _, _, k2, _ = _ops(n)
@@ -185,7 +181,7 @@ def advance(phi, inc):
     return out
 
 
-def scalar_evolution(h, s, lap_s=None, bilap_s=None):
+def scalar_evolution(h, s, laps):
     """Spatial side of the scalar-curvature evolution identity.
 
     Along the flow dphi/dt = S (this backend's normalization) a direct
@@ -195,14 +191,11 @@ def scalar_evolution(h, s, lap_s=None, bilap_s=None):
         dS/dt = -lap_g(lap_g S) - S * lap_g S,
 
     so the returned field is lap_g^2 S + S lap_g S, the quantity whose sum
-    with dS/dt vanishes on exact solutions; lap_g S and lap_g^2 S are
-    derived unless given.  The reduction is frozen here and validated
-    against a finite-difference oracle in the tests.
+    with dS/dt vanishes on exact solutions; ``laps()`` gives lap_g S and
+    lap_g^2 S.  The reduction is frozen here and validated against a
+    finite-difference oracle in the tests.
     """
-    if lap_s is None:
-        lap_s = laplacian(h, spectrum(s))
-    if bilap_s is None:
-        bilap_s = laplacian(h, spectrum(lap_s))
+    lap_s, bilap_s = laps()
     out = s * lap_s
     out += bilap_s
     return out

@@ -309,9 +309,9 @@ def curvature_scales(trace, times):
     q = _curve(trace, "sup_curv")
     start, end = float(q.t[0]), float(q.t[-1])
     t0 = np.asarray(times, dtype=float)
-    outside = (t0 < start - 1e-12) | (t0 > end + 1e-12)
-    if np.any(outside):
-        raise DomainError(f"time {t0[outside][0]} outside the trace")
+    inside = (t0 >= start - 1e-12) & (t0 <= end + 1e-12)  # False for nan
+    if not np.all(inside):
+        raise DomainError(f"time {t0[~inside][0]} outside the trace")
     t0 = np.minimum(np.maximum(t0, start), end)
     s_max = t0 - start
     out = s_max.copy()  # the cap, unless bisection finds a smaller scale
@@ -503,9 +503,9 @@ def barrier_checks(trace, times):
     q_curve = _curve(trace, "sup_curv")
     o_curve = _curve(trace, "sup_scalar")
     start, end = float(q_curve.t[0]), float(q_curve.t[-1])
-    outside = (t0 < start - 1e-12) | (t0 > end + 1e-12)
-    if np.any(outside):
-        raise DomainError(f"time {t0[outside][0]} outside the trace")
+    inside = (t0 >= start - 1e-12) & (t0 <= end + 1e-12)  # False for nan
+    if not np.all(inside):
+        raise DomainError(f"time {t0[~inside][0]} outside the trace")
     q0 = q_curve(t0)
     no_curv = q0 <= 0.0
     with np.errstate(divide="ignore", over="ignore"):
@@ -788,7 +788,7 @@ def _reject_extra(params):
 class ScaleReport:
     """Bundle of scale statistics for one trace, ready to serialize."""
 
-    f_values: tuple
+    curvature_scale: tuple
     doubling: tuple
     growth: GrowthBound
     barrier: tuple

@@ -132,10 +132,12 @@ def _header(text, want_kind):
     if not (isinstance(kind, str) and kind in FORMAT_VERSIONS):
         kind = want_kind
     latest = FORMAT_VERSIONS[kind]
-    if head["format_version"] not in range(1, latest + 1):
+    version = head["format_version"]
+    # JSON true and 1.0 compare equal to 1 but are not versions.
+    if type(version) is not int or not 1 <= version <= latest:
         raise VersionMismatch(
-            f"{kind} format version {head['format_version']} not "
-            f"supported (this build reads 1 to {latest})"
+            f"{kind} format version {version!r} not supported (this build "
+            f"reads 1 to {latest})"
         )
     if head.get("kind") != want_kind:
         raise SchemaMismatch(

@@ -101,8 +101,8 @@ def criterion_fixed_points():
     flat = geometry.flat_state(32)
     rnd = geometry.round_state(64)
     worst_rhs = max(
-        float(np.max(np.abs(flow.rhs(flat).values))),
-        float(np.max(np.abs(flow.rhs(rnd).values))),
+        float(np.max(np.abs(flow.rhs(flat)))),
+        float(np.max(np.abs(flow.rhs(rnd)))),
     )
     worst_ca = max(geometry.calabi_energy(flat), geometry.calabi_energy(rnd))
     stationary = True
@@ -170,7 +170,7 @@ def criterion_conservation():
 
         def on_accept(state, res):
             nonlocal worst_gb, worst_vol
-            s = geometry.scalar_curvature(state)
+            s = geometry.scalar_curvature(state).values
             gb = geometry.grid_integral(state, s)
             worst_gb = max(worst_gb, abs(gb - topo))
             worst_vol = max(

@@ -14,14 +14,19 @@ from calabilab import diagnostics, flow, geometry, presets, traceio
 from calabilab.errors import BadParams, SchemaMismatch
 
 INTERFACE = (
-    "FLOW_SIGN", "FIELD_DIM", "ZERO_PRESET", "BASE_NAME",
-    "EVOLUTION_READS_LAPLACIANS", "check_resolution",
+    "FLOW_SIGN", "FIELD_DIM", "ZERO_PRESET", "BASE_NAME", "MEAN_SCALAR",
+    "check_resolution",
     "grid_shape", "check_gauge", "spectrum", "base_field", "scalar_curvature",
-    "average_scalar", "volume", "laplacian", "grad_norm", "integral",
+    "volume", "laplacian", "grad_norm", "integral",
     "scalar_evolution", "extremality_residual", "sobolev_gap",
     "futaki_pairing", "random_potential", "rough_potential",
     "decay_rates", "velocity_modes", "advance",
 )
+
+# The Laplacians of S that E derives on each backend: the torus form reads
+# lap_g S and lap_g(lap_g S), the toric compact form neither.
+EVOLUTION_LAPLACIANS = {geometry.TORUS: {"lap_scalar", "bilap_scalar"},
+                        geometry.TORIC: set()}
 
 ENGINE = {"dt": 0.125, "streak": 0, "next_sample_t": 0.5,
           "next_checkpoint_t": 1.0, "checkpoint_index": 0}
@@ -181,9 +186,8 @@ def test_evolution_derives_the_laplacians_only_where_it_reads_them(backend):
     # not read them; its bits are those of E of a fully sampled state.
     state = perturbed(backend)
     e = geometry.scalar_evolution(state)
-    reads = geometry.backend_module(backend).EVOLUTION_READS_LAPLACIANS
     derived = {"lap_scalar", "bilap_scalar"} & state._derived.keys()
-    assert derived == ({"lap_scalar", "bilap_scalar"} if reads else set())
+    assert derived == EVOLUTION_LAPLACIANS[backend]
     twin = geometry.MetricState(backend, state.values, state.t)
     geometry.curvature_norms(twin)
     geometry.scalar_probes(twin)
@@ -252,7 +256,7 @@ def test_torus_velocity_modes_are_the_dealiased_velocity():
     got = ops.velocity_modes(phi_hat, geometry.scalar_spectrum(state),
                              geometry.base_field(state))
     mask = ops._ops(state.resolution)[3]
-    want = np.fft.rfft2(flow.rhs(state).values)
+    want = np.fft.rfft2(flow.rhs(state))
     assert got[mask].tobytes() == want[mask].tobytes()
     rest = -ops.decay_rates(state.resolution) * phi_hat
     assert got[~mask].tobytes() == rest[~mask].tobytes()

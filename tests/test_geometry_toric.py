@@ -155,7 +155,7 @@ class TestRoundStateModes:
             state = perturbed(m)
             o = toric.ops(m)
             dt = 1e-2
-            f = flow.rhs(state).values
+            f = flow.rhs(state)
             delta = np.linalg.solve(np.diag(o.weights) + dt * dense_k0(o),
                                     dt * o.weights * f)
             want = toric.strip_affine(state.values + delta)
@@ -195,10 +195,27 @@ class TestAverageScalar:
             assert geometry.average_scalar(state) == 2.0
 
     def test_matches_quadrature_of_curvature(self):
+        # int S dx over the interval's length 2 is the constant S_bar.
         state = perturbed(96, seed=7, amp=0.3)
-        s = geometry.scalar_curvature(state)
+        s = geometry.scalar_curvature(state).values
         total = geometry.grid_integral(state, s)
-        assert abs(total - 4.0) < 1e-8
+        assert abs(total - 2.0 * geometry.average_scalar(state)) < 1e-8
+
+    @pytest.mark.parametrize("m", [8, 9, 33, 64, 65, 512, 2049])
+    @pytest.mark.parametrize("preset", ["random", "rough"])
+    def test_constant_is_the_boundary_formula(self, m, preset):
+        # S_bar = rho(-1) + rho(1), rho = 1 / base: the base field is
+        # exactly 1 at both endpoints, so the constant is that formula bit
+        # for bit, at even and odd M and where the quadrature weights do
+        # not sum to 2 (9 and 33).
+        for seed, amp in ((1, 0.1), (2, 0.5), (3, 0.9)):
+            state = presets.build_initial(
+                "toric1d", m, {"preset": preset, "seed": seed,
+                               "amplitude": amp})
+            p = geometry.base_field(state)
+            assert p[0] == p[-1] == 1.0
+            assert toric.MEAN_SCALAR == 1.0 / p[0] + 1.0 / p[-1]
+            assert geometry.average_scalar(state) == toric.MEAN_SCALAR
 
 
 class TestScalarCurvature:

@@ -54,7 +54,7 @@ class TestScalarCurvature:
         rng = np.random.default_rng(0)
         for _ in range(3):
             state = _random_state(64, rng, amp=0.4)
-            s = geometry.scalar_curvature(state)
+            s = geometry.scalar_curvature(state).values
             assert abs(geometry.grid_integral(state, s)) < 1e-8
 
     def test_agrees_with_finite_differences(self):

@@ -286,8 +286,9 @@ class TestCurvatureScale:
 
     def test_outside_domain(self):
         tr = scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=5.0)
-        with pytest.raises(DomainError):
-            scale.curvature_scale(tr, 6.0)
+        for t0 in (6.0, math.nan):
+            with pytest.raises(DomainError):
+                scale.curvature_scale(tr, t0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(pl_traces(), st.floats(0.3, 1.0))
@@ -321,6 +322,8 @@ class TestCurvatureScale:
         tr = scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=5.0)
         with pytest.raises(DomainError):
             scale.curvature_scales(tr, [1.0, 2.0, 6.0])
+        with pytest.raises(DomainError, match="nan"):
+            scale.curvature_scales(tr, [1.0, math.nan, 2.0])
 
 
 class TestDoubling:
@@ -648,6 +651,16 @@ class TestBarrier:
         rep = scale.barrier_check(tr, 8.0)
         assert rep.verdict == "inapplicable"
 
+    def test_time_outside_the_trace(self):
+        # A nan time is outside, as +-inf are: no verdict, and no false
+        # ``holds`` at t0 = nan.
+        tr = scale.synthetic_trace("constant", value=1.0, t1=6.0, n=81)
+        for t0 in (6.5, -math.inf, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                scale.barrier_check(tr, t0)
+            with pytest.raises(DomainError):
+                scale.barrier_checks(tr, [3.0, t0])
+
     def test_insufficient_history(self):
         tr = scale.synthetic_trace("constant", value=0.1, t0=0.0, t1=5.0)
         with pytest.raises(DomainError):
@@ -807,7 +820,7 @@ def test_analyze_trace_bundle():
     tr = scale.synthetic_trace("typeI", t_sing=6.0, t0=0.0, t1=5.9, n=121)
     rep = scale.analyze_trace(tr, alpha=0.5, t_sing=6.0)
     assert rep.rates is not None and rep.rates.type1
-    assert rep.f_values and all(f > 0 for _, f in rep.f_values)
+    assert rep.curvature_scale and all(f > 0 for _, f in rep.curvature_scale)
     assert rep.meta["termination"] == "completed"
 
 

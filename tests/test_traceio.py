@@ -446,6 +446,23 @@ class TestHeaderTypes:
         with pytest.raises(CorruptFile, match=f"n_values {n!r} "):
             traceio.read_checkpoint(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", ["trace", "checkpoint", "report"])
+    def test_format_version_must_be_an_int(self, tmp_path, kind, version):
+        # true and 1.0 equal 1, and 2.0 equals 2, but none is a version.
+        if kind == "report":
+            path = tmp_path / "r.report.json"
+            path.write_text(json.dumps({"format_version": version,
+                                        "kind": "report", "report": {}}))
+            read = traceio.read_report
+        else:
+            name = {"trace": "trace_v1.trace",
+                    "checkpoint": "checkpoint_v1.ckpt"}[kind]
+            path = golden_copy(tmp_path, name, format_version=version)
+            read = getattr(traceio, f"read_{kind}")
+        with pytest.raises(VersionMismatch, match=f"version {version!r} "):
+            read(path)
+
     @pytest.mark.parametrize("report", [5, [1], "x", None, "missing"])
     def test_report_must_be_an_object(self, tmp_path, report):
         head = {"format_version": 1, "kind": "report"}
