@@ -13,6 +13,8 @@ The adaptive driver halves the step on rejection, doubles it after eight
 consecutive acceptances, records diagnostics on a fixed flow-time cadence,
 and checkpoints enough engine state (step size, streak, sampling cursors)
 that resuming reproduces the uninterrupted run bit for bit.
+``EngineState.from_dict`` reads that state back, and refuses any value
+that ``run`` would not have written under the same config.
 """
 
 import math
@@ -105,11 +107,50 @@ class EngineState:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(dt=float(d["dt"]), streak=int(d["streak"]),
-                   next_sample_t=float(d["next_sample_t"]),
-                   next_checkpoint_t=float(d["next_checkpoint_t"]),
-                   checkpoint_index=int(d["checkpoint_index"]))
+    def from_dict(cls, d, cfg, t):
+        """The engine state a checkpoint at time ``t`` carries for ``cfg``:
+        the one reader of a checkpoint's engine fields.
+
+        CorruptFile, naming the field, unless each holds a value ``run``
+        keeps: streak and checkpoint_index ints >= 0, dt a real number in
+        [dt_min, dt_max], and each cursor finite and within one interval
+        of t (further behind would stall ``run``'s catch-up loops, further
+        ahead would skip samples or checkpoints), except that
+        next_checkpoint_t is +Infinity when the config has no interval.
+        """
+        def field(key, ok, want):
+            if key not in d:
+                raise CorruptFile(f"checkpoint engine state lacks {key}")
+            value = d[key]
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float)) or not ok(value):
+                raise CorruptFile(f"checkpoint {key} {value!r} is not {want}")
+            return value
+
+        def count(key):
+            return field(key, lambda v: isinstance(v, int) and v >= 0,
+                         "an integer >= 0")
+
+        def cursor(key, interval):
+            if interval == 0:
+                return float(field(key, lambda v: v == math.inf, "Infinity, "
+                                   "as the config has no interval to add"))
+            # ``run`` adds the interval to a time at or before t, and
+            # rounding is monotone.
+            lo, hi = t - interval, t + interval
+            return float(field(key, lambda v: lo <= v <= hi and v < math.inf,
+                               f"a finite number in [{lo!r}, {hi!r}], within "
+                               f"one interval ({interval!r}) of t {t!r}"))
+
+        return cls(
+            dt=float(field("dt", lambda v: cfg.dt_min <= v <= cfg.dt_max,
+                           f"a number in the config's [dt_min, dt_max] = "
+                           f"[{cfg.dt_min!r}, {cfg.dt_max!r}]")),
+            streak=count("streak"),
+            next_sample_t=cursor("next_sample_t", cfg.sample_interval),
+            next_checkpoint_t=cursor("next_checkpoint_t",
+                                     cfg.checkpoint_interval),
+            checkpoint_index=count("checkpoint_index"))
 
 
 def rhs(state):
@@ -297,45 +338,18 @@ def run(cfg, state0, checkpoint_dir=None, on_accept=None, engine=None):
 
 
 def resume(cfg, checkpoint, checkpoint_dir=None, on_accept=None):
-    """Continue a run from checkpoint data (see traceio.read_checkpoint)."""
+    """Continue a run from checkpoint data (see traceio.read_checkpoint)
+    written under ``cfg``, which ``EngineState.from_dict`` checks."""
     expected = traceio.config_hash(asdict(cfg))
     if checkpoint.config_hash != expected:
         raise SchemaMismatch(
             f"checkpoint config hash {checkpoint.config_hash} does not match "
             f"the supplied config {expected}"
         )
-    engine = EngineState.from_dict(checkpoint.engine)
-    _check_cursors(cfg, checkpoint.state.t, engine)
+    engine = EngineState.from_dict(checkpoint.engine, cfg,
+                                   checkpoint.state.t)
     return run(cfg, checkpoint.state, checkpoint_dir=checkpoint_dir,
                on_accept=on_accept, engine=engine)
-
-
-def _check_cursors(cfg, t, engine):
-    """CorruptFile unless the engine's step size is one ``run`` can hold
-    and ``run`` can advance the engine's cursors past t.
-
-    ``run`` keeps dt within [dt_min, dt_max].  A run leaves both cursors
-    past its time, and a run without periodic checkpoints keeps
-    ``next_checkpoint_t`` at +Infinity.  A cursor more than one interval
-    behind ``t``, or a finite cursor with no interval to add, would stall
-    ``run``'s catch-up loops.
-    """
-    if not cfg.dt_min <= engine.dt <= cfg.dt_max:
-        raise CorruptFile(f"checkpoint dt {engine.dt!r} lies outside the "
-                          f"config's [dt_min, dt_max] = "
-                          f"[{cfg.dt_min!r}, {cfg.dt_max!r}]")
-    for key, interval in (("next_sample_t", cfg.sample_interval),
-                          ("next_checkpoint_t", cfg.checkpoint_interval)):
-        cursor = getattr(engine, key)
-        if cursor == math.inf:
-            continue
-        if interval <= 0:
-            why = "is finite, but the config has no interval to advance it"
-        elif cursor < t - interval:
-            why = f"lies more than one interval ({interval!r}) before t {t!r}"
-        else:
-            continue
-        raise CorruptFile(f"checkpoint {key} {cursor!r} {why}")
 
 
 def _check_state(cfg, state):

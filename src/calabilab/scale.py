@@ -287,11 +287,21 @@ class PiecewiseLinear:
         return out if out.ndim else float(out)
 
 
+def _unbounded(q):
+    """sup |Rm| samples with each non-finite one read as unbounded
+    curvature, +inf; ``q`` itself when every sample is finite."""
+    finite = np.isfinite(q)
+    return q if finite.all() else np.where(finite, q, math.inf)
+
+
 def _curve(trace, name):
-    """The trace's curve of one sample field, built once per trace."""
+    """The trace's curve of one sample field, built once per trace.  The
+    sup |Rm| curve reads through ``_unbounded``, so it is +inf at a
+    non-finite sample and on the open cells beside it."""
     curve = trace._curves.get(name)
     if curve is None:
-        curve = PiecewiseLinear(*trace.series(name))
+        t, y = trace.series(name)
+        curve = PiecewiseLinear(t, _unbounded(y) if name == "sup_curv" else y)
         trace._curves[name] = curve
     return curve
 
@@ -426,7 +436,8 @@ def growth_bound_check(trace, eps0=None, refine=8):
     tq, q = q_curve.t, q_curve.y
     with np.errstate(divide="ignore"):
         back = 1.0 / (q * q)
-    cand = np.flatnonzero((q > 0.0) & ~(tq - back < tq[0] - 1e-12))
+    cand = np.flatnonzero((q > 0.0) & (q < math.inf)
+                          & ~(tq - back < tq[0] - 1e-12))
     admissible = (q_curve.window_max(tq[cand] - back[cand], tq[cand])
                   <= 2.0 * q[cand] * (1.0 + 1e-12))
     if not np.any(admissible):
@@ -486,8 +497,10 @@ def barrier_checks(trace, times):
     B(t) = 2 / sqrt(Q(t0)^-2 + (t - t0)).  The scalar-bound hypothesis is
     checked after the internal normalization (Q(t0) -> 1), which turns it
     into sup O <= Q(t0) over the window; when it fails, or Q(t0) is not
-    positive, the verdict is ``inapplicable``.  Q - B is concave on each
-    linear segment, so maxima and first roots are exact.
+    positive and finite, the verdict is ``inapplicable``.  Q - B is
+    concave on each linear segment, so maxima and first roots are exact.
+    A window that meets a segment with an infinite end (``_curve``) is
+    violated, with margin -inf, from that segment's start at the latest.
 
     Returns one ``BarrierReport`` per time, or None where the look-back
     window leaves the trace.  All windows are checked together: their
@@ -507,7 +520,7 @@ def barrier_checks(trace, times):
     if not np.all(inside):
         raise DomainError(f"time {t0[~inside][0]} outside the trace")
     q0 = q_curve(t0)
-    no_curv = q0 <= 0.0
+    no_curv = ~((q0 > 0.0) & (q0 < math.inf))
     with np.errstate(divide="ignore", over="ignore"):
         c = 1.0 / (q0 * q0)
     w0 = np.maximum(t0 - c, start)
@@ -523,6 +536,8 @@ def barrier_checks(trace, times):
 
     margin = np.full(t0.size, math.inf)
     violated = np.zeros(t0.size, dtype=bool)
+    # Per window, the start of its first segment with an infinite end.
+    unbounded = np.full(t0.size, math.inf)
     first = np.zeros(t0.size)
     # Per window to bisect: its first hit segment's start, start value,
     # slope and the end of the bracket.
@@ -545,7 +560,11 @@ def barrier_checks(trace, times):
         vals = q_curve(pts)
         j = np.flatnonzero(owner[:-1] == owner[1:])
         k = win[owner[j]]
-        keep = pts[j + 1] - pts[j] > 1e-14 * np.maximum(1.0, np.abs(t0[k]))
+        wild = ~(np.isfinite(vals[j]) & np.isfinite(vals[j + 1]))
+        wins, at = np.unique(k[wild], return_index=True)
+        unbounded[wins] = pts[j[wild][at]]
+        keep = ~wild & (pts[j + 1] - pts[j]
+                        > 1e-14 * np.maximum(1.0, np.abs(t0[k])))
         j, k = j[keep], k[keep]
         a, b, ya = pts[j], pts[j + 1], vals[j]
         slope = (vals[j + 1] - ya) / (b - a)
@@ -574,6 +593,9 @@ def barrier_checks(trace, times):
         margin[wins] = np.minimum.reduceat(
             np.where(finite, -gap, math.inf).min(axis=0), at)
         hits = np.flatnonzero(gap.max(axis=0) >= 0.0)
+        # A crossing after the window's first unbounded segment starts is
+        # not its first violation.
+        hits = hits[a[hits] < unbounded[k[hits]]]
         wins, at = np.unique(k[hits], return_index=True)
         i = hits[at]
         violated[wins] = True
@@ -583,6 +605,10 @@ def barrier_checks(trace, times):
         bisect[wins] = True
         hit_seg[:, wins] = (a[i], ya[i], slope[i],
                             cand[np.argmax(gap[:, i], axis=0), i])
+    met = unbounded < math.inf
+    margin[met] = -math.inf
+    first[met & ~violated] = unbounded[met & ~violated]
+    violated |= met
     pending = np.flatnonzero(bisect)
     a, ya, slope, hi_t = hit_seg[:, pending]
     lo_t, ck, tk = a, c[pending], t0[pending]
@@ -647,12 +673,15 @@ def blowup_rates(trace, t_sing, alpha):
     keep = t < t_sing
     if not np.any(keep):
         raise DomainError("no samples before the singular time")
-    t, q, p, o = t[keep], q[keep], p[keep], o[keep]
+    t, q, p, o = t[keep], _unbounded(q[keep]), p[keep], o[keep]
     dtau = t_sing - t
     sup_pt = float(np.max(p * dtau))
-    sup_oq = float(np.max(o ** alpha * q ** (2.0 - alpha) * dtau))
-    sup_qroot = float(np.max(q * np.sqrt(dtau)))
-    sup_q2t = float(np.max(q * q * dtau))
+    # Unbounded curvature bounds none of the rates of Q.
+    sup_oq = sup_qroot = sup_q2t = math.inf
+    if np.all(q < math.inf):
+        sup_oq = float(np.max(o ** alpha * q ** (2.0 - alpha) * dtau))
+        sup_qroot = float(np.max(q * np.sqrt(dtau)))
+        sup_q2t = float(np.max(q * q * dtau))
     lam_fit = math.inf
     for lam in LAM_GRID:
         vals = q * dtau ** lam

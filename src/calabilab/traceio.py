@@ -22,7 +22,8 @@ its kind's.
   space-separated ``repr`` values, ``-`` where an optional field is
   blank.  The schema must be this build's.
 * checkpoint (v2): the header declares the value count ``n_values`` and
-  carries the adaptive-engine state needed for bit-exact resume.  After
+  carries the adaptive-engine state needed for bit-exact resume, a JSON
+  object whose fields ``flow.EngineState.from_dict`` reads.  After
   the header's newline come the raw grid values, ``n_values``
   little-endian float64 (``<f8``), row-major, with no separators.  A
   version 1 checkpoint, one ``repr`` value per line, is still read.
@@ -37,16 +38,17 @@ increasing and inside [t_start, t_end], a body length other than the
 header declares, a mask byte other than 0 or 1, a value count that does
 not fill the declared grid, a missing value, values the backend
 refuses), headers and text files that do not decode, traces without a
-finite ``t_start`` and ``t_end``, checkpoints without a finite time or a
-complete engine state, counts (``n_samples``, ``n_values``) that are not
-integers, trace ``columns`` or ``optional`` that are not lists of
-distinct names (``optional`` a subset of ``columns``), and a trace
-``metadata`` or a ``report`` that is not a JSON object are
+finite ``t_start`` and ``t_end``, checkpoints without a finite time,
+counts (``n_samples``, ``n_values``) that are not integers, trace
+``columns`` or ``optional`` that are not lists of distinct names
+(``optional`` a subset of ``columns``), and a trace ``metadata``, a
+checkpoint ``engine`` or a ``report`` that is not a JSON object are
 ``CorruptFile``; header-level disagreements (kind, backend, a v1 schema
 other than this build's, a trace column this build does not know or a
 required one the trace lacks, a resolution the backend does not
 support) are ``SchemaMismatch``; an unsupported ``format_version`` is
-``VersionMismatch``.
+``VersionMismatch``.  The engine state's fields are checked where they
+are read, against the run's config, by ``flow.EngineState.from_dict``.
 
 Writers never leave a partial file at the final path: each writes a
 temporary file in the same directory and renames it over the target.
@@ -67,11 +69,6 @@ from .scale import TERMINATIONS, Trace, record_columns
 
 # The version each kind is written in; a reader takes 1 up to it.
 FORMAT_VERSIONS = {"trace": 2, "checkpoint": 2, "report": 1}
-
-# The adaptive-engine fields a checkpoint must carry to resume a run
-# (``flow.EngineState``).
-ENGINE_KEYS = ("dt", "streak", "next_sample_t", "next_checkpoint_t",
-               "checkpoint_index")
 
 
 def config_hash(cfg_dict):
@@ -296,7 +293,8 @@ def read_trace(path):
 
 
 class CheckpointData:
-    """Parsed checkpoint: the state plus the adaptive-engine dictionary."""
+    """Parsed checkpoint: the state plus the adaptive-engine dictionary,
+    which ``flow.EngineState.from_dict`` checks when it reads it."""
 
     def __init__(self, state, engine, config_hash):
         self.state = state
@@ -324,23 +322,6 @@ def write_checkpoint(state, engine_dict, cfg_hash, path):
         fh.write(vals)
 
     _write_atomic(path, write, "wb")
-
-
-def _check_engine(engine):
-    """CorruptFile unless every engine value can drive a resumed run.
-
-    ``next_checkpoint_t`` may be +Infinity: a run without periodic
-    checkpoints stores that in its final checkpoint.
-    """
-    if _finite_number(engine["dt"], "checkpoint dt") <= 0:
-        raise CorruptFile(f"checkpoint dt {engine['dt']!r} is not positive")
-    for key in ("streak", "checkpoint_index"):
-        if _count(engine[key], f"checkpoint {key}") < 0:
-            raise CorruptFile(f"checkpoint {key} {engine[key]!r} is negative")
-    _finite_number(engine["next_sample_t"], "checkpoint next_sample_t")
-    if engine["next_checkpoint_t"] != math.inf:
-        _finite_number(engine["next_checkpoint_t"],
-                       "checkpoint next_checkpoint_t")
 
 
 def _text_values(body, n_values):
@@ -392,13 +373,7 @@ def read_checkpoint(path, expect_backend=None, expect_resolution=None):
     if np.any(np.isnan(vals)):
         raise CorruptFile("checkpoint contains missing values")
     t = _finite_number(head.get("t"), "checkpoint time")
-    engine = head.get("engine")
-    if not isinstance(engine, dict) or any(k not in engine
-                                           for k in ENGINE_KEYS):
-        raise CorruptFile(
-            f"checkpoint engine state must carry {', '.join(ENGINE_KEYS)}"
-        )
-    _check_engine(engine)
+    engine = _object(head.get("engine"), "checkpoint engine state")
     try:
         state = geometry.MetricState(backend, vals.reshape(shape), t)
     except ValueError as exc:

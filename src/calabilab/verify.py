@@ -5,9 +5,10 @@ convergence on both backends, conservation along trajectories, the
 refinement behavior of the evolution-identity residual on both backends,
 oracle agreement for the trace calculus, covariance under rescaling,
 growth-bound and blow-up statistics on synthetic traces, vanishing of the
-Futaki pairing, and bit-exact determinism with checkpoint resume.  Suites:
+Futaki pairing, bit-exact determinism with checkpoint resume, and decay at
+the scheme's own rate.  Suites:
 ``identities`` (1, 4, 5, 12), ``oracles`` (6, 7, 8, 9, 10),
-``convergence`` (2, 3, 11).
+``convergence`` (2, 3, 11, 13).
 
 The same functions back ``calabilab verify`` and tests/test_acceptance.py.
 The expensive corpus runs are computed once per process and shared.
@@ -36,6 +37,14 @@ class CriterionResult:
 # ---------------------------------------------------------------- corpus
 
 
+def _run_with_steps(cfg, state0):
+    """``flow.run`` and the (t, dt) rows of its accepted steps."""
+    steps = []
+    result = flow.run(cfg, state0, on_accept=lambda state, res: steps.append(
+        (state.t, res.dt_used)))
+    return result, np.array(steps)
+
+
 @functools.cache
 def torus_convergence_run():
     state0 = presets.build_initial(
@@ -47,7 +56,7 @@ def torus_convergence_run():
         dt_max=0.5, t_end=80.0, sample_interval=0.25,
         stop_energy=1e-10 * ca0,
     )
-    return cfg, state0, ca0, flow.run(cfg, state0)
+    return (cfg, state0, ca0) + _run_with_steps(cfg, state0)
 
 
 @functools.cache
@@ -62,6 +71,20 @@ def toric_convergence_run():
         stop_energy=1e-16,
     )
     return cfg, state0, ca0, flow.run(cfg, state0)
+
+
+@functools.cache
+def toric_rate_run():
+    """A toric run sampled at every step, whose last decade of energy lies
+    at dt_max."""
+    state0 = presets.build_initial(
+        TORIC, 128, {"preset": "random", "seed": 3, "amplitude": 0.3}
+    )
+    cfg = flow.FlowConfig(
+        backend=TORIC, resolution=128, dt_init=1e-3, dt_min=1e-9,
+        dt_max=1 / 64, t_end=5.0, sample_interval=0.01, stop_energy=1e-14,
+    )
+    return (cfg,) + _run_with_steps(cfg, state0)
 
 
 @functools.cache
@@ -118,17 +141,14 @@ def criterion_fixed_points():
     )
 
 
-def criterion_torus_convergence():
-    """2: seeded torus run decays monotonically and exponentially."""
-    cfg, state0, ca0, result = torus_convergence_run()
-    tr = result.trace
-    _, ca = tr.series("calabi_energy")
-    monotone = bool(np.all(np.diff(ca) <= 0.0))
-    reached = tr.termination == "stop_energy" and ca[-1] <= 1e-10 * ca0
-    t, _ = tr.series("calabi_energy")
+def _last_decade_fit(trace):
+    """(rate, R^2, window) of the line through log Ca against t over the
+    window of samples within a factor 10 of the last energy; the rate is
+    minus its slope, and both read nan and 0 below three samples."""
+    t, ca = trace.series("calabi_energy")
     last = ca[-1]
     sel = (ca >= last) & (ca <= 10.0 * last) & (ca > 0)
-    r2 = 0.0
+    rate, r2 = math.nan, 0.0
     if sel.sum() >= 3:
         x = t[sel]
         y = np.log(ca[sel])
@@ -137,6 +157,18 @@ def criterion_torus_convergence():
         ss_res = float(np.sum((y - fitted) ** 2))
         ss_tot = float(np.sum((y - y.mean()) ** 2))
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+        rate = -float(coef[0])
+    return rate, r2, sel
+
+
+def criterion_torus_convergence():
+    """2: seeded torus run decays monotonically and exponentially."""
+    cfg, state0, ca0, result, _ = torus_convergence_run()
+    tr = result.trace
+    _, ca = tr.series("calabi_energy")
+    monotone = bool(np.all(np.diff(ca) <= 0.0))
+    reached = tr.termination == "stop_energy" and ca[-1] <= 1e-10 * ca0
+    _, r2, sel = _last_decade_fit(tr)
     passed = monotone and reached and r2 >= 0.99
     return CriterionResult(
         2, "torus exponential convergence", passed,
@@ -529,6 +561,43 @@ def criterion_determinism():
     )
 
 
+# The modes the step never moves lead each backend's sorted decay rates:
+# the torus constant (rate 0) and the toric affine pair (at M = 128 they
+# read 7.6e-10 and 6.8e-9, rounding of 0).
+_GAUGE_MODES = {TORUS: 1, TORIC: 2}
+
+
+def criterion_decay_rate():
+    """13: the flow decays at its scheme's own rate.
+
+    Near the limit the step multiplies the slowest mode by
+    1 / (1 + dt lam_min), so log Ca falls at 2 ln(1 + dt lam_min) / dt.
+    The last-decade fits of criterion 2's run and of a toric run sampled
+    at every step must lie within 0.1% of that rate at the run's final
+    dt, and every step of the fit window must be taken at that dt.
+    """
+    cfg_t, _, _, torus, torus_steps = torus_convergence_run()
+    passed, details = True, []
+    for cfg, result, steps in ((cfg_t, torus, torus_steps),
+                               toric_rate_run()):
+        rate, _, sel = _last_decade_fit(result.trace)
+        t = result.trace.columns["t"][sel]
+        dt = float(steps[-1, 1])
+        window = steps[(steps[:, 0] > t[0]) & (steps[:, 0] <= t[-1]), 1]
+        one_dt = bool(window.size and np.all(window == dt))
+        lam = float(np.sort(geometry.backend_module(cfg.backend).decay_rates(
+            cfg.resolution), axis=None)[_GAUGE_MODES[cfg.backend]])
+        want = 2.0 * math.log1p(dt * lam) / dt
+        err = abs(rate - want) / want
+        passed = passed and one_dt and bool(err <= 1e-3)
+        details.append(
+            f"{cfg.backend} fit {rate:.6f} vs {want:.6f} ({err:.1e}, "
+            f"<=1e-3) at dt {dt:.6g}, lam_min {lam:g}, {int(sel.sum())} "
+            f"samples at one dt {one_dt}")
+    return CriterionResult(13, "decay at the scheme's rate", passed,
+                           "; ".join(details))
+
+
 CRITERIA = (
     criterion_fixed_points,
     criterion_torus_convergence,
@@ -542,12 +611,13 @@ CRITERIA = (
     criterion_futaki,
     criterion_determinism,
     criterion_toric_evolution_identity,
+    criterion_decay_rate,
 )
 
 SUITES = {
     "identities": (1, 4, 5, 12),
     "oracles": (6, 7, 8, 9, 10),
-    "convergence": (2, 3, 11),
+    "convergence": (2, 3, 11, 13),
     "all": tuple(range(1, len(CRITERIA) + 1)),
 }
 

@@ -431,8 +431,18 @@ class TestDamagedInputs:
         out = tmp_path / "out"
         run_cli(["run", manifest, "--outdir", str(out)], capsys)
         ckpt = out / "final.ckpt"
-        edit_header(ckpt, lambda h: (h.update(t=0.1),
-                                     h["engine"].update({key: value})))
+
+        def damage(head):
+            # Moved back to t 0.1, so the resume has steps to take, with
+            # the cursors a run keeps there (sample_interval 0.1); then the
+            # cursor under test is damaged.
+            head["t"] = 0.1
+            head["engine"].update(
+                next_sample_t=0.1 + 0.1,
+                next_checkpoint_t=0.1 + interval if interval else math.inf)
+            head["engine"][key] = value
+
+        edit_header(ckpt, damage)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")])}
@@ -713,7 +723,8 @@ class TestAnalyze:
         # into a run, an inf lets the doubled level reach inf and one
         # crossing repeat without end while the segment list grows, so
         # analyze runs in a child process under a timeout and an
-        # address-space cap.
+        # address-space cap.  Elsewhere such a sample is unbounded
+        # curvature, nan and inf alike, and no RuntimeWarning is raised.
         import resource
 
         path = tmp_path / "n.trace"
@@ -726,8 +737,8 @@ class TestAnalyze:
                    [src, os.environ.get("PYTHONPATH", "")])}
         cap = 1 << 30
         done = subprocess.run(
-            [sys.executable, "-m", "calabilab", "analyze", str(path),
-             "--outdir", str(tmp_path)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "calabilab", "analyze", str(path), "--outdir", str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=60,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                   (cap, cap)))
@@ -735,6 +746,27 @@ class TestAnalyze:
         report = traceio.read_report(json.loads(done.stdout)["report"])
         assert [(d["t0"], d["t1"]) for d in report["doubling"]] \
             == [(0.0, 0.5), (3.0, 3.25), (3.25, 3.75)]
+        # The scale is 0, up to the rounding of t0 - s, wherever the
+        # look-back meets the sample or a cell beside it.  The nan sample
+        # used to leave the scale at its caps 2, 3 and 4.
+        assert report["curvature_scale"] == [
+            [1.0, 1 / 9], [2.0, 0.0], [3.0, pytest.approx(0.0, abs=1e-15)],
+            [4.0, pytest.approx(0.04, rel=1e-9)]]
+        # t0 = 2 has no finite Q(t0); the window [2, 3] of t0 = 3 holds
+        # the sample.  Both used to read ``holds``.
+        assert report["barrier"] == [
+            {"t0": 1.0, "verdict": "holds", "window_start": 1 - 1 / 9,
+             "first_violation": None, "margin": 3.0},
+            {"t0": 2.0, "verdict": "inapplicable", "window_start": 2.0,
+             "first_violation": None, "margin": math.inf},
+            {"t0": 3.0, "verdict": "violated", "window_start": 2.0,
+             "first_violation": 2.0, "margin": -math.inf},
+            {"t0": 4.0, "verdict": "holds", "window_start": 3.96,
+             "first_violation": None, "margin": 5.0}]
+        assert (report["growth"]["anchor"], report["growth"]["eps0_max"]) \
+            == (1.0, 0.0)
+        assert [report["rates"][k] for k in ("sup_oq", "sup_qroot",
+                                             "sup_q2t")] == [math.inf] * 3
 
     def test_option_refused_before_the_trace_is_read(self, tmp_path,
                                                      capsys):

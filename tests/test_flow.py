@@ -154,6 +154,37 @@ class TestRun:
             with pytest.raises(CorruptFile, match=key):
                 flow.resume(cfg, bad)
 
+    @pytest.mark.parametrize("key, damaged", [
+        ("next_sample_t", lambda t, cfg: t + 6 * cfg.sample_interval),
+        ("next_sample_t",
+         lambda t, cfg: np.nextafter(t + cfg.sample_interval, np.inf)),
+        ("next_checkpoint_t", lambda t, cfg: np.inf),
+    ], ids=["six_sample_intervals", "one_ulp", "infinity"])
+    def test_resume_refuses_a_cursor_more_than_one_interval_ahead(
+            self, tmp_path, key, damaged):
+        # ``run`` keeps each cursor at most one interval past t, so at most
+        # t + interval.  The six-interval sample cursor used to resume
+        # with 3 of the run's 8 samples, and the infinite checkpoint
+        # cursor with no checkpoint_0002.
+        cfg = flow.FlowConfig(
+            backend="torus", resolution=16, dt_init=1e-3, dt_min=1e-8,
+            dt_max=0.1, t_end=0.6, sample_interval=0.05,
+            checkpoint_interval=0.2,
+        )
+        flow.run(cfg, torus_state(seed=3, n=16), checkpoint_dir=str(tmp_path))
+        ckpt = traceio.read_checkpoint(tmp_path / "checkpoint_0001.ckpt")
+        t = ckpt.state.t
+
+        def with_engine(**fields):
+            return traceio.CheckpointData(
+                ckpt.state, {**ckpt.engine, **fields}, ckpt.config_hash)
+
+        at_bound = flow.resume(cfg, with_engine(
+            next_sample_t=t + cfg.sample_interval))
+        assert len(at_bound.trace) == 8
+        with pytest.raises(CorruptFile, match=key):
+            flow.resume(cfg, with_engine(**{key: damaged(t, cfg)}))
+
     def test_resume_refuses_a_step_size_outside_the_bounds(self, tmp_path):
         # run keeps dt within [dt_min, dt_max], the bounds included; a
         # checkpoint with any other dt is corrupt.

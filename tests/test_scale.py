@@ -318,6 +318,17 @@ class TestCurvatureScale:
                     for t0 in times]
             assert scale.curvature_scales(tr, times).tolist() == want
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_unbounded_sample_leaves_no_scale_beside_it(self, bad):
+        # A non-finite sup |Rm| is unbounded curvature, +inf on the cells
+        # beside it; nan and inf give the same bits.
+        times, q = [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 3.0, bad, 1.0, 5.0]
+        got = scale.curvature_scales(sawtooth(times, q), times[1:])
+        assert np.array_equal(got, scale.curvature_scales(
+            sawtooth(times, [1.0, 3.0, math.inf, 1.0, 5.0]), times[1:]))
+        assert got[1] == 0.0 and got[2] < 1e-15
+        assert got[3] == pytest.approx(1 / 25, rel=1e-9)
+
     def test_batched_rejects_any_time_outside(self):
         tr = scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=5.0)
         with pytest.raises(DomainError):
@@ -480,6 +491,16 @@ class TestGrowthBound:
         tr = sawtooth(times, np.full(times.shape, 0.2))
         with pytest.raises(DomainError):
             per_tau_growth_bound(tr)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_unbounded_sample_is_no_anchor_and_bounds_no_growth(self, bad):
+        # Q(1) = 2 looks back over [0.75, 1], beside the sample at 0.
+        tr = sawtooth([0.0, 1.0, 2.0, 3.0], [bad, 2.0, 2.0, 2.0])
+        assert scale.growth_bound_check(tr).anchor == 2.0
+        # After the anchor the sample's cells outgrow every eps0.
+        tr = sawtooth([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, bad, 1.0])
+        gb = scale.growth_bound_check(tr, eps0=1.0)
+        assert (gb.anchor, gb.eps0_max, gb.holds) == (1.0, 0.0, False)
 
     def test_no_anchor_raises(self):
         times = np.linspace(0.0, 1.0, 21)
@@ -706,6 +727,26 @@ class TestBarrier:
         assert 4.02 < scale.barrier_check(traces[-1], 5.0).first_violation \
             < 4.3
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_unbounded_sample_violates_the_windows_it_meets(self, bad):
+        # Q(4) = 0.5 looks back over [0, 4], where the barrier 2 / sqrt(t)
+        # stays above every finite sample: the violation starts with the
+        # cell (2, 3) beside the sample at 3.
+        times = [0.0, 1.0, 2.0, 3.0, 4.0]
+        tr = sawtooth(times, [0.5, 0.5, 0.5, bad, 0.5])
+        assert report_bits(scale.barrier_check(tr, 4.0)) == report_bits(
+            scale.BarrierReport("violated", 4.0, 0.0, 2.0, -math.inf))
+        # A finite crossing before the sample's cells stays the first.
+        tr = sawtooth(times, [0.5, 3.0, 0.5, bad, 0.5])
+        rep = scale.barrier_check(tr, 4.0)
+        assert rep.verdict == "violated" and rep.margin == -math.inf
+        assert rep.first_violation == scale.barrier_check(
+            sawtooth(times, [0.5, 3.0, 0.5, 0.5, 0.5]), 4.0).first_violation
+        assert 0.0 < rep.first_violation < 1.0
+        # Q(t0) is not finite at the sample or in the cells beside it.
+        for t0 in (2.5, 3.0, 3.5):
+            assert scale.barrier_check(tr, t0).verdict == "inapplicable"
+
     def test_no_times_give_no_reports(self):
         tr = scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=5.0)
         assert scale.barrier_checks(tr, []) == []
@@ -739,6 +780,13 @@ class TestBlowupRates:
         r_near = scale.blowup_rates(near, t_sing, 0.5)
         r_far = scale.blowup_rates(far, t_sing, 0.5)
         assert r_near.sup_qroot > 3.0 * r_far.sup_qroot
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_unbounded_sample_gives_unbounded_rates(self, bad):
+        tr = sawtooth([0.0, 1.0, 2.0, 3.0], [1.0, bad, 1.0, 1.0])
+        r = scale.blowup_rates(tr, 4.0, alpha=0.5)
+        assert (r.sup_pt, r.sup_oq, r.sup_qroot, r.sup_q2t, r.type1) \
+            == (0.0, math.inf, math.inf, math.inf, False)
 
     def test_empty_tail_raises(self):
         tr = scale.synthetic_trace("constant", value=1.0, t0=5.0, t1=6.0)

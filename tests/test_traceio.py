@@ -1,6 +1,5 @@
 """Serialization: round trips, golden files, error taxonomy, hashing."""
 
-import dataclasses
 import json
 import math
 import os
@@ -17,6 +16,20 @@ from calabilab.diagnostics import (OPTIONAL_FIELDS, SAMPLE_SCHEMA,
 from calabilab.errors import CorruptFile, SchemaMismatch, VersionMismatch
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+# A config that TestCheckpoint.ENGINE fits at t = 0, the time of the
+# states its checkpoints hold: each cursor lies one interval past t.
+ENGINE_CFG = flow.FlowConfig(backend="torus", resolution=8, dt_init=0.125,
+                             dt_min=1e-6, dt_max=0.5, t_end=4.0,
+                             sample_interval=1.5, checkpoint_interval=2.0)
+
+
+def resumed_engine(path, cfg=ENGINE_CFG):
+    """The engine state of the checkpoint at ``path``, read as
+    ``flow.resume`` reads it."""
+    ckpt = traceio.read_checkpoint(path)
+    return flow.EngineState.from_dict(ckpt.engine, cfg, ckpt.state.t)
 
 
 def small_trace(n=50):
@@ -516,12 +529,10 @@ class TestCheckpoint:
                 head["engine"] = engine
 
         edit_header(path, change)
+        # read_checkpoint refuses an engine state that is missing or not an
+        # object; EngineState.from_dict one that lacks a field.
         with pytest.raises(CorruptFile):
-            traceio.read_checkpoint(path)
-
-    def test_engine_keys_are_the_engine_state_fields(self):
-        names = {f.name for f in dataclasses.fields(flow.EngineState)}
-        assert set(traceio.ENGINE_KEYS) == names
+            resumed_engine(path)
 
     def test_truncated_values(self, tmp_path):
         path = tmp_path / "s.ckpt"
@@ -548,10 +559,11 @@ class TestCheckpoint:
         path = tmp_path / "s.ckpt"
         traceio.write_checkpoint(geometry.flat_state(8), self.ENGINE, "00",
                                  path)
+        assert resumed_engine(path) == flow.EngineState(**self.ENGINE)
         edit_header(path, lambda h: h.update(
             engine={**self.ENGINE, key: value}))
-        with pytest.raises(CorruptFile):
-            traceio.read_checkpoint(path)
+        with pytest.raises(CorruptFile, match=key):
+            resumed_engine(path)
 
     def test_value_count_must_fill_the_grid(self, tmp_path, edit_header):
         # 63 values agree with n_values but fill no 8 x 8 grid.
@@ -760,8 +772,14 @@ class TestGolden:
         assert back.engine["dt"] == 0.001953125
         assert back.engine["checkpoint_index"] == 2
         assert abs(float(back.state.values.mean())) < 1e-12
-        # The engine dictionary is one a run can resume from.
-        flow.EngineState.from_dict(back.engine)
+        # The engine dictionary is one a run can resume from, under a
+        # config whose intervals take t 0.75 to its cursors 0.875 and 1.125.
+        cfg = flow.FlowConfig(backend="torus", resolution=8, dt_init=1e-3,
+                              dt_min=1e-8, dt_max=0.1, t_end=2.0,
+                              sample_interval=0.125,
+                              checkpoint_interval=0.375)
+        assert flow.EngineState.from_dict(back.engine, cfg, back.state.t) \
+            == flow.EngineState(**back.engine)
 
     def test_checkpoint_v2(self, tmp_path):
         # The v2 golden holds the v1 golden's checkpoint: the two read to
