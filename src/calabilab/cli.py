@@ -124,15 +124,27 @@ def cmd_run(args):
     return 0
 
 
-def _write_series(path, pairs):
+def _lines(pairs):
     """One ``t y`` line per pair, each float in its ``repr``.  ``t`` is
     written with ``str``, which for a float is its ``repr``, so a caller
     may pass times it has already formatted."""
-    def write(fh):
-        for t, y in pairs:
-            fh.write(f"{t} {y!r}\n")
+    return (f"{t} {y!r}\n" for t, y in pairs)
 
-    traceio._write_atomic(path, write)
+
+def _write_series(path, pairs):
+    """The ``_lines`` of ``pairs``, written atomically to ``path``."""
+    traceio._write_atomic(path, lambda fh: fh.writelines(_lines(pairs)))
+
+
+def _write_lockstep(paths, write, handles=()):
+    """Call ``write(handles)`` with one file open per path, each through
+    ``traceio._write_atomic``: a failure in ``write`` leaves every earlier
+    file in place, and each file is renamed into place once ``write``
+    returns."""
+    if not paths:
+        return write(handles)
+    traceio._write_atomic(paths[0], lambda fh: _write_lockstep(
+        paths[1:], write, handles + (fh,)))
 
 
 def cmd_analyze(args):
@@ -162,13 +174,22 @@ def cmd_analyze(args):
         "sup_curv": "sup_curv",
     }
     written = [report_path]
-    # The four series share the time column: format it once.
-    times = list(map(repr, trace.columns["t"].tolist()))
-    for field, tag in series_fields.items():
-        _, y = trace.series(field)
-        path = os.path.join(outdir, f"{stem}.{tag}.dat")
-        _write_series(path, zip(times, y.tolist()))
-        written.append(path)
+    t = trace.columns["t"]
+    ys = [trace.series(field)[1] for field in series_fields]
+
+    def write(handles):
+        # The four series share the time column: format each block of it
+        # once.
+        for i in range(0, t.size, scale._BLOCK):
+            times = list(map(repr, t[i:i + scale._BLOCK].tolist()))
+            for fh, y in zip(handles, ys):
+                fh.writelines(_lines(zip(
+                    times, y[i:i + scale._BLOCK].tolist())))
+
+    paths = [os.path.join(outdir, f"{stem}.{tag}.dat")
+             for tag in series_fields.values()]
+    _write_lockstep(paths, write)
+    written += paths
     fpath = os.path.join(outdir, f"{stem}.curvature_scale.dat")
     _write_series(fpath, rep.curvature_scale)
     written.append(fpath)

@@ -28,17 +28,24 @@ blowup rates
     exponent lam with Q*(T-t)^lam non-increasing.
 
 The window algebra is table-backed.  A ``Trace`` stores read-only
-columns and builds each curve from them once.  A ``PiecewiseLinear`` answers
-a window maximum from the interpolated endpoints plus a range-maximum
-query on a sparse table over its knot values (Bender & Farach-Colton,
-LATIN 2000), and a window integral from a cumulative-trapezoid prefix sum
-plus the two partial end cells.  After an O(n log n) set-up every query
-is O(1), and queries take whole arrays of windows, so the curvature scale
-bisects all its evaluation points at once and the growth bound integrates
-its whole time grid in one pass.  The barrier check likewise lays the
-segments of all its look-back windows end to end and checks them in one
-array pass.  Maxima and interpolated values are the same doubles a direct
-scan gives; integrals agree with a direct trapezoid sum to rounding.
+columns and builds each curve from the rows under them once.  A
+``PiecewiseLinear`` answers a window maximum from the interpolated
+endpoints plus a range-maximum query over its knot values, and a window
+integral from a cumulative-trapezoid prefix sum plus the two partial end
+cells.  The range maxima read a block table in the line of Fischer & Heun
+(CPM 2006): running maxima forward and backward inside blocks of 32 knots,
+a sparse table (Bender & Farach-Colton, LATIN 2000) over the block maxima,
+and a gather of at most one block for a run of knots inside one block.
+After an O(n) set-up every query is O(1), and queries take whole arrays
+of windows, so the curvature scale bisects all its evaluation points at
+once.  The growth bound walks its anchor candidates and its refined time
+grid a block of cells at a time, and the blow-up rates their tail a block
+of samples at a time, so no pass holds more than the tables, O(n) with a
+small constant.  The barrier check likewise lays the segments of its
+look-back windows end to end, a block of windows at a time, and checks
+them in array passes.  Maxima and interpolated values are the same
+doubles a direct scan gives; integrals agree with a direct trapezoid sum
+to rounding.
 """
 
 import itertools
@@ -68,8 +75,13 @@ MAX_POINTS = 512
 # The schema lists the required fields first, then the optional ones.
 _N_REQUIRED = len(SAMPLE_SCHEMA) - len(OPTIONAL_FIELDS)
 
-# Records parsed per block, which bounds the peak memory of a long read.
+# Samples handled per block by the long passes (record parsing, the
+# growth bound, the blow-up rates, the series files), which bounds the
+# memory each takes at once.
 _BLOCK = 1024
+
+# Knots per block of a ``PiecewiseLinear`` window-maximum table.
+_KNOT_BLOCK = 32
 
 
 def record_columns(rows, blank):
@@ -141,7 +153,11 @@ class Trace:
             blank[i] = absent.get(name, False)
         values[_N_REQUIRED:][blank] = math.nan
         values[np.isnan(values)] = math.nan
-        values.setflags(write=False)
+        # The columns are read-only views.  The curves read the rows
+        # under them, because np.interp copies a read-only array whole on
+        # every call.
+        readonly = values.view()
+        readonly.setflags(write=False)
         blank.setflags(write=False)
         times = values[SAMPLE_SCHEMA.index("t")]
         if not np.all(np.isfinite(times)):
@@ -152,7 +168,8 @@ class Trace:
                            or times[-1] > t_end + 1e-12):
             raise ValueError("samples outside [t_start, t_end]")
         vars(self).update(
-            columns=dict(zip(SAMPLE_SCHEMA, values)),
+            columns=dict(zip(SAMPLE_SCHEMA, readonly)),
+            _rows=dict(zip(SAMPLE_SCHEMA, values)),
             absent=dict(zip(OPTIONAL_FIELDS, blank)),
             t_start=t_start, t_end=t_end, termination=termination,
             metadata={} if metadata is None else metadata, _curves={})
@@ -184,11 +201,16 @@ class Trace:
 class PiecewiseLinear:
     """Exact window algebra on a piecewise-linear curve.
 
-    Window maxima are endpoint values plus a range-maximum query on a
-    sparse table over the knot values; window integrals and the
-    antiderivative read a cumulative-trapezoid prefix sum.  Both tables
-    are built on first use, after which every query costs O(1).  Queries
-    take scalars (and return floats) or arrays of window ends.
+    Window maxima are endpoint values plus a range-maximum query over the
+    knots inside the window.  That query reads a block table: the knots
+    fall into blocks of ``_KNOT_BLOCK``, each with its running maxima
+    forward and backward, and a sparse table over the block maxima
+    answers the whole blocks in between, so the table holds about 2n
+    doubles.  A run of knots inside one block is a masked gather of at
+    most ``_KNOT_BLOCK`` values.  Window integrals and the antiderivative
+    read a cumulative-trapezoid prefix sum.  Both tables are built on
+    first use, after which every query costs O(1).  Queries take scalars
+    (and return floats) or arrays of window ends.
     """
 
     def __init__(self, t, y):
@@ -198,25 +220,56 @@ class PiecewiseLinear:
             raise DomainError("need at least two samples")
         if np.any(np.diff(self.t) <= 0):
             raise DomainError("knot times must be strictly increasing")
-        self._levels = None
+        self._blocks = None
         self._prefix = None
 
     def __call__(self, s):
         return np.interp(s, self.t, self.y)
 
-    def _sparse_table(self):
-        """levels[k, i] = max(y[i : i + 2**k]), -inf where that runs out."""
-        if self._levels is None:
+    def _block_table(self):
+        """(fwd, bwd, levels): fwd[i] and bwd[i] are the maxima of y from
+        the start of i's block to i and from i to the end of its block;
+        levels[k, j] is the maximum of blocks j to j + 2**k - 1, -inf where
+        that runs out.  Every maximum propagates nan as np.maximum does."""
+        if self._blocks is None:
             n = self.y.size
-            levels = np.full((n.bit_length(), n), -math.inf)
-            levels[0] = self.y
+            width = -(-n // _KNOT_BLOCK)
+            rows = np.full((width, _KNOT_BLOCK), -math.inf)
+            rows.flat[:n] = self.y
+            fwd = np.maximum.accumulate(rows, axis=1)
+            bwd = np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
+            levels = np.full((width.bit_length(), width), -math.inf)
+            levels[0] = fwd[:, -1]
             for k in range(1, levels.shape[0]):
                 half = 1 << (k - 1)
-                m = n - 2 * half + 1
+                m = width - 2 * half + 1
                 np.maximum(levels[k - 1, :m], levels[k - 1, half:half + m],
                            out=levels[k, :m])
-            self._levels = levels
-        return self._levels
+            self._blocks = fwd.ravel()[:n], bwd.ravel()[:n], levels
+        return self._blocks
+
+    def _knot_max(self, lo, hi):
+        """max(y[lo:hi]) for 1-D index arrays; arbitrary where hi <= lo."""
+        fwd, bwd, levels = self._block_table()
+        n, top = self.y.size, levels.shape[1] - 1
+        first, last = np.minimum(lo, n - 1), np.maximum(hi - 1, 0)
+        left, right = first // _KNOT_BLOCK, last // _KNOT_BLOCK
+        # Across blocks: the tail of the first, the head of the last and
+        # two overlapping power-of-two runs of whole blocks between them.
+        out = np.maximum(bwd[first], fwd[last])
+        between = right - left - 1
+        k = np.frexp(np.maximum(between, 1))[1] - 1
+        whole = np.maximum(levels[k, np.minimum(left + 1, top)],
+                           levels[k, np.maximum(right - (1 << k), 0)])
+        out = np.where(between > 0, np.maximum(out, whole), out)
+        # Inside one block: a gather as wide as the longest such run.
+        one = np.flatnonzero((left == right) & (hi > lo))
+        if one.size:
+            idx = lo[one, None] + np.arange(np.max(hi[one] - lo[one]))
+            out[one] = np.where(idx < hi[one, None],
+                                self.y[np.minimum(idx, n - 1)],
+                                -math.inf).max(axis=1)
+        return out
 
     def window_max(self, a, b):
         """Exact maximum of the interpolant over [a, b] within the domain."""
@@ -224,19 +277,12 @@ class PiecewiseLinear:
         b = np.minimum(b, self.t[-1])
         if np.any(b < a):
             raise DomainError("empty window")
-        lo = np.searchsorted(self.t, a, side="right")
-        hi = np.searchsorted(self.t, b, side="left")
+        lo, hi = np.broadcast_arrays(np.searchsorted(self.t, a, side="right"),
+                                     np.searchsorted(self.t, b, side="left"))
         best = np.maximum(self(a), self(b))
-        # Knots strictly inside the window are y[lo:hi]; two overlapping
-        # power-of-two runs cover them.
-        run = hi - lo
-        k = np.frexp(np.maximum(run, 1))[1] - 1
-        levels = self._sparse_table()
-        inner = np.maximum(
-            levels[k, np.minimum(lo, self.y.size - 1)],
-            levels[k, np.maximum(hi - np.left_shift(1, k), 0)],
-        )
-        best = np.where(run > 0, np.maximum(best, inner), best)
+        # Knots strictly inside the window are y[lo:hi].
+        inner = self._knot_max(lo.ravel(), hi.ravel()).reshape(best.shape)
+        best = np.where(hi > lo, np.maximum(best, inner), best)
         return best if best.ndim else float(best)
 
     def _prefix_table(self):
@@ -300,7 +346,7 @@ def _curve(trace, name):
     non-finite sample and on the open cells beside it."""
     curve = trace._curves.get(name)
     if curve is None:
-        t, y = trace.series(name)
+        t, y = trace._rows["t"], trace._rows[name]
         curve = PiecewiseLinear(t, _unbounded(y) if name == "sup_curv" else y)
         trace._curves[name] = curve
     return curve
@@ -343,8 +389,11 @@ def curvature_scales(trace, times):
             if not live.size:
                 break
             mid = 0.5 * (lo[live] + hi[live])
-            m = q.window_max(t0[idx[live]] - mid, t0[idx[live]])
-            ok = m * m <= 1.0 / mid
+            ends = t0[idx[live]]
+            m = q.window_max(ends - mid, ends)
+            # A look-back that rounds away is the point t0, whose value
+            # says nothing of the curvature before it.
+            ok = (m * m <= 1.0 / mid) & (ends - mid < ends)
             lo[live] = np.where(ok, mid, lo[live])
             hi[live] = np.where(ok, hi[live], mid)
         out[idx] = lo
@@ -429,40 +478,48 @@ def growth_bound_check(trace, eps0=None, refine=8):
         log2(Q(t)/Q(t0)) - 1 < (1/eps0) int_{t0}^{t} P ds,
 
     strictly; eps0_max is the closed-form largest eps0 satisfying it at
-    every eval point (knots plus ``refine`` subdivisions per cell).
+    every eval point (``refine`` >= 1 subdivisions of each cell after the
+    anchor, the cell ends included).  The anchor search and the eval
+    points go a block of cells at a time; neither result depends on the
+    order of the points or on repeated ones.
     """
+    if eps0 is not None and eps0 <= 0:
+        raise ValueError("eps0 must be positive")
     q_curve = _curve(trace, "sup_curv")
     p_curve = _curve(trace, "sup_hess_scalar")
-    tq, q = q_curve.t, q_curve.y
-    with np.errstate(divide="ignore"):
-        back = 1.0 / (q * q)
-    cand = np.flatnonzero((q > 0.0) & (q < math.inf)
-                          & ~(tq - back < tq[0] - 1e-12))
-    admissible = (q_curve.window_max(tq[cand] - back[cand], tq[cand])
-                  <= 2.0 * q[cand] * (1.0 + 1e-12))
-    if not np.any(admissible):
+    tq = q_curve.t
+    for i in range(0, tq.size, _BLOCK):
+        t, q = tq[i:i + _BLOCK], q_curve.y[i:i + _BLOCK]
+        with np.errstate(divide="ignore"):
+            back = 1.0 / (q * q)
+        cand = np.flatnonzero((q > 0.0) & (q < math.inf)
+                              & ~(t - back < tq[0] - 1e-12))
+        admissible = (q_curve.window_max(t[cand] - back[cand], t[cand])
+                      <= 2.0 * q[cand] * (1.0 + 1e-12))
+        if np.any(admissible):
+            break
+    else:
         raise DomainError("no admissible normalization anchor in the trace")
-    anchor = float(tq[cand[np.argmax(admissible)]])
+    k = i + cand[np.argmax(admissible)]
+    anchor = float(tq[k])
     q0 = float(q_curve(anchor))
-    ts = tq[tq > anchor]
-    if refine > 1 and ts.size:
-        cells = np.concatenate(([anchor], ts))
-        fine = np.linspace(cells[:-1], cells[1:], refine + 1, axis=1)
-        ts = np.unique(fine[:, 1:])
-    qt = q_curve(ts)
-    ts, qt = ts[qt > 0.0], qt[qt > 0.0]
-    lhs = np.log2(qt / q0) - 1.0
-    rhs = p_curve.antiderivative(ts) - p_curve.antiderivative(anchor)
-    grows = lhs > 0.0
-    lhs, rhs = lhs[grows], rhs[grows]
-    eps0_max = float(np.min(rhs / lhs)) if lhs.size else math.inf
-    holds = None
-    if eps0 is not None:
-        if eps0 <= 0:
-            raise ValueError("eps0 must be positive")
-        holds = bool(np.all(lhs < rhs / eps0))
-    return GrowthBound(anchor=anchor, eps0_max=eps0_max, eps0=eps0,
-                       holds=holds)
+    base = p_curve.antiderivative(anchor)
+    eps0_max, holds = np.inf, True
+    for i in range(k, tq.size - 1, _BLOCK):
+        cells = tq[i:i + _BLOCK + 1]
+        ts = np.linspace(cells[:-1], cells[1:], refine + 1, axis=1)[:, 1:]
+        qt = q_curve(ts)
+        ts, qt = ts[qt > 0.0], qt[qt > 0.0]
+        lhs = np.log2(qt / q0) - 1.0
+        rhs = p_curve.antiderivative(ts) - base
+        grows = lhs > 0.0
+        lhs, rhs = lhs[grows], rhs[grows]
+        if lhs.size:
+            eps0_max = np.minimum(eps0_max, np.min(rhs / lhs))
+            if eps0 is not None:
+                holds = holds and bool(np.all(lhs < rhs / eps0))
+    return GrowthBound(anchor=anchor, eps0_max=float(eps0_max), eps0=eps0,
+                       holds=None if eps0 is None else holds)
 
 
 @dataclass(frozen=True)
@@ -663,31 +720,43 @@ def blowup_rates(trace, t_sing, alpha):
     extrapolation).  The type-I flag reports whether Q^2 (T - t) stays
     below the threshold; ``lam_fit`` is the smallest grid exponent for
     which Q (T - t)^lam is non-increasing along the tail, +inf when none
-    qualifies.
+    qualifies.  The tail goes a block of samples at a time, and a grid
+    exponent is dropped at its first block that rises.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
     t, q = trace.series("sup_curv")
     _, p = trace.series("sup_hess_scalar")
     _, o = trace.series("sup_scalar")
-    keep = t < t_sing
-    if not np.any(keep):
+    # Times increase, so the tail is a prefix.
+    m = int(np.count_nonzero(t < t_sing))
+    if not m:
         raise DomainError("no samples before the singular time")
-    t, q, p, o = t[keep], _unbounded(q[keep]), p[keep], o[keep]
-    dtau = t_sing - t
-    sup_pt = float(np.max(p * dtau))
-    # Unbounded curvature bounds none of the rates of Q.
-    sup_oq = sup_qroot = sup_q2t = math.inf
-    if np.all(q < math.inf):
-        sup_oq = float(np.max(o ** alpha * q ** (2.0 - alpha) * dtau))
-        sup_qroot = float(np.max(q * np.sqrt(dtau)))
-        sup_q2t = float(np.max(q * q * dtau))
-    lam_fit = math.inf
-    for lam in LAM_GRID:
-        vals = q * dtau ** lam
-        if np.all(vals[1:] <= vals[:-1] * (1.0 + 1e-12) + 1e-300):
-            lam_fit = float(lam)
-            break
+    sups = np.full(4, -math.inf)
+    # Unbounded curvature, a nan sample included, bounds none of the rates
+    # of Q.
+    bounded = bool(np.all(q[:m] < math.inf))
+    if not bounded:
+        sups[1:] = math.inf
+    for i in range(0, m, _BLOCK):
+        j = min(i + _BLOCK, m)
+        dtau, qb = t_sing - t[i:j], q[i:j]
+        sups[0] = np.maximum(sups[0], np.max(p[i:j] * dtau))
+        if bounded:
+            sups[1:] = np.maximum(sups[1:], (
+                np.max(o[i:j] ** alpha * qb ** (2.0 - alpha) * dtau),
+                np.max(qb * np.sqrt(dtau)), np.max(qb * qb * dtau)))
+    sup_pt, sup_oq, sup_qroot, sup_q2t = sups.tolist()
+
+    def falls(lam, i):
+        # Samples i to i + _BLOCK, the first of the next block included.
+        j = min(i + _BLOCK + 1, m)
+        vals = _unbounded(q[i:j]) * (t_sing - t[i:j]) ** lam
+        return np.all(vals[1:] <= vals[:-1] * (1.0 + 1e-12) + 1e-300)
+
+    lam_fit = next((float(lam) for lam in LAM_GRID
+                    if all(falls(lam, i) for i in range(0, m, _BLOCK))),
+                   math.inf)
     return BlowupRates(sup_pt, sup_oq, sup_qroot, sup_q2t,
                        bool(sup_q2t <= TYPE1_THRESHOLD), lam_fit,
                        float(alpha), float(t_sing))

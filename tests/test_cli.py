@@ -538,6 +538,33 @@ class TestAtomicOutputs:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == [path.name]
 
+    def test_failed_analyze_series_keep_the_earlier_files(
+            self, tmp_path, capsys, monkeypatch):
+        # The four series are written together; a failure in the last one
+        # leaves all four earlier files and no temporary file.
+        trace_path = tmp_path / "c.trace"
+        traceio.write_trace(
+            scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=6.0),
+            trace_path)
+        args = ["analyze", str(trace_path), "--outdir", str(tmp_path)]
+        code, payload = run_cli(args, capsys)
+        assert code == 0
+        before = {path: open(path, "rb").read() for path in payload["series"]}
+        listing = sorted(os.listdir(tmp_path))
+        lines, calls = cli._lines, []
+
+        def failing(pairs):
+            calls.append(pairs)
+            if len(calls) == 4:
+                raise OSError("disk full")
+            return lines(pairs)
+
+        monkeypatch.setattr(cli, "_lines", failing)
+        with pytest.raises(OSError):
+            cli.main(args)
+        assert {path: open(path, "rb").read() for path in before} == before
+        assert sorted(os.listdir(tmp_path)) == listing
+
     def test_failed_sweep_summary_keeps_the_earlier_file(
             self, tmp_path, capsys, monkeypatch):
         write_manifest(tmp_path, name="sweep_1.json")
@@ -746,11 +773,11 @@ class TestAnalyze:
         report = traceio.read_report(json.loads(done.stdout)["report"])
         assert [(d["t0"], d["t1"]) for d in report["doubling"]] \
             == [(0.0, 0.5), (3.0, 3.25), (3.25, 3.75)]
-        # The scale is 0, up to the rounding of t0 - s, wherever the
-        # look-back meets the sample or a cell beside it.  The nan sample
-        # used to leave the scale at its caps 2, 3 and 4.
+        # The scale is 0 wherever every look-back of positive length
+        # meets the sample or a cell beside it.  The nan sample used to
+        # leave the scale at its caps 2, 3 and 4.
         assert report["curvature_scale"] == [
-            [1.0, 1 / 9], [2.0, 0.0], [3.0, pytest.approx(0.0, abs=1e-15)],
+            [1.0, 1 / 9], [2.0, 0.0], [3.0, 0.0],
             [4.0, pytest.approx(0.04, rel=1e-9)]]
         # t0 = 2 has no finite Q(t0); the window [2, 3] of t0 = 3 holds
         # the sample.  Both used to read ``holds``.

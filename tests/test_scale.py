@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calabilab import scale
@@ -166,6 +167,55 @@ def curves_and_windows(draw):
     return t, y, windows
 
 
+# Knots per block of the window-maximum table.
+KNOT_BLOCK = 32
+
+
+def block_scale_windows(pick, n):
+    """Windows on the knots 0, 1, ..., n - 1: over the whole domain, inside
+    one block of ``KNOT_BLOCK`` knots, across one block boundary, from knot
+    to knot and anywhere (mostly over many blocks).  ``pick(lo, hi)`` is a
+    float in [lo, hi]."""
+    last = n - 1.0
+    windows = [(-1.0, n), (0.0, last)]
+    for _ in range(4):
+        start = KNOT_BLOCK * math.floor(pick(0.0, last) / KNOT_BLOCK)
+        end = min(start + KNOT_BLOCK - 1.0, last)
+        windows.append((pick(start, end), pick(start, end)))
+        if n > KNOT_BLOCK:
+            edge = KNOT_BLOCK * math.ceil(pick(1.0, last) / KNOT_BLOCK)
+            edge = min(edge, KNOT_BLOCK * ((n - 1) // KNOT_BLOCK))
+            windows.append((pick(edge - 3.0, edge - 1.0),
+                            pick(edge, min(edge + 2.0, last))))
+        windows.append((float(round(pick(0.0, last))),
+                        float(round(pick(0.0, last)))))
+        windows.append((pick(0.0, last), pick(0.0, last)))
+    return [tuple(sorted(w)) for w in windows]
+
+
+@st.composite
+def block_scale_curves(draw):
+    """Up to four blocks of knots, valued in [0, 3] or +inf."""
+    n = draw(st.integers(min_value=2, max_value=4 * KNOT_BLOCK + 1))
+    y = draw(st.lists(st.one_of(st.floats(0.0, 3.0), st.just(math.inf)),
+                      min_size=n, max_size=n))
+    return np.asarray(y), block_scale_windows(
+        lambda lo, hi: draw(st.floats(lo, hi)), n)
+
+
+def check_window_max(y, windows):
+    """On the knots 0, 1, ..., scalar queries match the brute force, nan
+    included, and the batched query gives the scalar queries' bits."""
+    t = np.arange(float(y.size))
+    pl = scale.PiecewiseLinear(t, y)
+    got = [pl.window_max(a, b) for a, b in windows]
+    assert all(isinstance(g, float) for g in got)
+    want = [interp_max(t, y, a, b) for a, b in windows]
+    assert np.array_equal(got, want, equal_nan=True)
+    lo, hi = np.array(windows).T
+    assert np.array_equal(pl.window_max(lo, hi), got, equal_nan=True)
+
+
 class TestWindowTables:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(curves_and_windows())
@@ -186,6 +236,20 @@ class TestWindowTables:
             batched = pl.window_max(lo, hi)
             assert batched.tolist() == [pl.window_max(a, b)
                                         for a, b in inside]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(block_scale_curves())
+    def test_window_max_at_block_scale_matches_brute_force(self, case):
+        check_window_max(*case)
+
+    @pytest.mark.parametrize("n", [KNOT_BLOCK - 1, KNOT_BLOCK,
+                                   KNOT_BLOCK + 1, 2 * KNOT_BLOCK + 1, 1000])
+    def test_window_max_on_whole_blocks_matches_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.uniform(0.0, 3.0, n)
+        y[rng.integers(0, n, 1 + n // 100)] = math.inf
+        for _ in range(10):
+            check_window_max(y, block_scale_windows(rng.uniform, n))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(curves_and_windows())
@@ -326,7 +390,7 @@ class TestCurvatureScale:
         got = scale.curvature_scales(sawtooth(times, q), times[1:])
         assert np.array_equal(got, scale.curvature_scales(
             sawtooth(times, [1.0, 3.0, math.inf, 1.0, 5.0]), times[1:]))
-        assert got[1] == 0.0 and got[2] < 1e-15
+        assert got[1] == 0.0 and got[2] == 0.0
         assert got[3] == pytest.approx(1 / 25, rel=1e-9)
 
     def test_batched_rejects_any_time_outside(self):
@@ -432,6 +496,20 @@ class TestDoubling:
         assert k == len(ends)
 
 
+def ulp_tail():
+    """A growing tail whose knots after 0.5 lie one ulp apart, so the
+    refined grid repeats points."""
+    times = [0.0, 0.5]
+    for _ in range(4):
+        times.append(math.nextafter(times[-1], math.inf))
+    times += [0.75, 1.0]
+    q = [1.0, 2.5, 2.6, 3.0, 3.5, 3.6, 4.5, 6.0]
+    return sawtooth(times, q, np.full(len(times), 0.5))
+
+
+ULP_TAIL = ulp_tail()
+
+
 class TestGrowthBound:
     def flat_anchor_trace(self, q_fun, p=0.0, t1=8.0, n=161):
         times = np.linspace(-2.0, t1, n)
@@ -466,6 +544,9 @@ class TestGrowthBound:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(pl_traces(), st.sampled_from([1, 2, 8]))
+    @example(ULP_TAIL, 1)
+    @example(ULP_TAIL, 2)
+    @example(ULP_TAIL, 8)
     def test_matches_per_tau_loop(self, tail, refine):
         # A flat unit prefix supplies the anchor; the random tail grows.
         t_tail, q_tail = tail.series("sup_curv")
@@ -888,3 +969,32 @@ def test_derivative_ops_need_two_samples():
 def test_negative_envelopes_rejected():
     with pytest.raises(BadParams):
         sawtooth([0.0, 1.0], [1.0, -0.5])
+
+
+@pytest.fixture
+def traced_memory():
+    """tracemalloc, running for the test and stopped at its teardown."""
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+def test_analyze_trace_memory_is_linear_with_a_small_constant(traced_memory):
+    # A fresh trace, so that the curve tables are built inside the
+    # measured call.  Q >= 1 gives an early anchor; its episodes grow it
+    # five-fold, so the growth bound checks every eval point.
+    n = 100_000
+    rng = np.random.default_rng(11)
+    t = 0.01 * np.arange(n)
+    q = 1.0 + 0.05 * rng.random(n) + 4.0 * (np.sin(0.02 * t) > 0.9)
+    cols = dict.fromkeys(SAMPLE_SCHEMA, np.zeros(n))
+    cols.update(t=t, sup_curv=q, sup_hess_scalar=0.5 * q * q,
+                sup_scalar=0.6 + 0.4 * rng.random(n), volume=np.ones(n),
+                calabi_energy=10.0 * np.exp(-t / 20.0))
+    tr = scale.Trace.from_columns(cols, 0.0, float(t[-1]), "completed")
+    del cols, q
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    rep = scale.analyze_trace(tr)
+    assert rep.growth.eps0_max < math.inf and rep.doubling
+    assert tracemalloc.get_traced_memory()[1] - held <= 400 * n
