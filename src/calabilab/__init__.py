@@ -7,7 +7,6 @@ with the regularity-scale calculus: curvature scale, doubling
 statistics, growth bounds, barrier checks and blow-up rates.
 """
 
-from .diagnostics import DiagnosticsSample
 from .errors import (
     BadParams,
     CalabiLabError,
@@ -20,7 +19,6 @@ from .errors import (
 from .flow import FlowConfig, RunResult, StepResult, run, step
 from .geometry import (
     MetricState,
-    ScalarField,
     flat_state,
     round_state,
     toric_state,
@@ -31,9 +29,9 @@ from .scale import Trace, curvature_scale, rescale_trace, synthetic_trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadParams", "CalabiLabError", "CorruptFile", "DiagnosticsSample",
-    "DomainError", "FlowConfig", "MetricState", "NonKahler", "RunResult",
-    "ScalarField", "SchemaMismatch", "StepResult", "Trace", "VersionMismatch",
+    "BadParams", "CalabiLabError", "CorruptFile", "DomainError",
+    "FlowConfig", "MetricState", "NonKahler", "RunResult", "SchemaMismatch",
+    "StepResult", "Trace", "VersionMismatch",
     "curvature_scale", "flat_state", "rescale_trace", "round_state", "run",
     "step", "synthetic_trace", "toric_state", "torus_state",
 ]

@@ -28,9 +28,9 @@ OUT_ENV = "CALABILAB_OUT"
 
 def _load_manifest(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise BadParams(f"unreadable manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict) or "config" not in manifest \
             or "initial" not in manifest:
@@ -40,9 +40,9 @@ def _load_manifest(path):
         base = os.path.dirname(os.path.abspath(path))
         cfg_path = os.path.join(base, cfg_spec)
         try:
-            with open(cfg_path) as fh:
+            with open(cfg_path, encoding="utf-8") as fh:
                 cfg_spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise BadParams(f"unreadable config {cfg_path}: {exc}") from exc
     try:
         cfg = flow.FlowConfig(**cfg_spec)

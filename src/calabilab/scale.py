@@ -27,8 +27,8 @@ blowup rates
     tail, a type-I boundedness flag for Q^2 (T-t), and the smallest grid
     exponent lam with Q*(T-t)^lam non-increasing.
 
-The window algebra is table-backed.  A ``Trace`` stores read-only
-columns and builds each curve from the rows under them once.  A
+The window algebra is table-backed.  A ``Trace`` stores its samples as
+one array and builds each curve from the rows of it once.  A
 ``PiecewiseLinear`` answers a window maximum from the interpolated
 endpoints plus a range-maximum query over its knot values, and a window
 integral from a cumulative-trapezoid prefix sum plus the two partial end
@@ -85,7 +85,9 @@ _KNOT_BLOCK = 32
 
 
 def record_columns(rows, blank):
-    """(columns, absent) of records that list their fields in schema order.
+    """(values, blank) store of records that list their fields in schema
+    order: a (len(SAMPLE_SCHEMA), n) float64 array and the
+    (len(OPTIONAL_FIELDS), n) blank masks of its optional rows.
 
     Values go through ``float``, so numeric strings parse.  An entry equal
     to ``blank`` is absent; in a required field it raises ValueError.
@@ -93,72 +95,67 @@ def record_columns(rows, blank):
     """
     rows = iter(rows)
     width = len(SAMPLE_SCHEMA)
-    values, blanks = [np.empty((0, width))], [np.empty((0, width), bool)]
+    values, blanks = [np.empty((width, 0))], [np.empty((width, 0), bool)]
     while block := list(itertools.islice(rows, _BLOCK)):
         if any(len(row) != width for row in block):
             raise ValueError("a sample's arity differs from the schema's")
-        grid = np.array(block, dtype=object)
+        grid = np.array(block, dtype=object).T.copy()
         blanks.append(grid == blank)
         grid[blanks[-1]] = math.nan
         values.append(grid.astype(float))
-    values, blanks = np.concatenate(values), np.concatenate(blanks)
-    missing = np.flatnonzero(blanks[:, :_N_REQUIRED].any(axis=0))
+    values, blanks = (np.concatenate(x, axis=1) for x in (values, blanks))
+    missing = np.flatnonzero(blanks[:_N_REQUIRED].any(axis=1))
     if missing.size:
         raise ValueError(
             f"required column {SAMPLE_SCHEMA[missing[0]]} is missing")
-    return (dict(zip(SAMPLE_SCHEMA, values.T)),
-            dict(zip(OPTIONAL_FIELDS, blanks[:, _N_REQUIRED:].T)))
+    return values, blanks[_N_REQUIRED:]
 
 
 class Trace:
-    """Time-ordered diagnostics samples plus run metadata, stored as columns.
+    """Time-ordered diagnostics samples plus run metadata, stored as a
+    (len(SAMPLE_SCHEMA), n) float64 array and the blank masks of its
+    optional rows.
 
-    ``columns`` maps each ``SAMPLE_SCHEMA`` field to a read-only float64
-    array.  ``absent`` maps each optional field to a read-only mask of the
-    samples that leave it blank; those entries read nan in the column, so
-    a blank and a recorded nan stay distinct.  ``Trace(samples, t_start,
-    t_end, termination, metadata)`` builds one from records that list
-    their fields in schema order (``DiagnosticsSample`` named tuples),
+    ``columns`` maps each field to a read-only view of its row, ``absent``
+    each optional field to a read-only view of its mask; blank entries
+    read nan, so a blank and a recorded nan stay distinct.  ``Trace(samples,
+    t_start, t_end, termination, metadata)`` builds one from records that
+    list their fields in schema order (``DiagnosticsSample`` named tuples),
     ``None`` where blank; ``Trace.from_columns`` builds one from arrays.
 
     A trace is immutable.  Equality compares ``t_start``, ``t_end``,
-    ``termination``, ``metadata``, the masks and every column bit for bit;
+    ``termination``, ``metadata``, the masks and every value bit for bit;
     every nan is stored as the one quiet nan, so nans at the same position
     match.  The cached curves take no part in equality.
     """
 
     def __init__(self, samples, t_start, t_end, termination, metadata=None):
-        columns, absent = record_columns(samples, None)
-        self._store(columns, absent, t_start, t_end, termination, metadata)
+        self._store(*record_columns(samples, None), t_start, t_end,
+                    termination, metadata)
 
     @classmethod
     def from_columns(cls, columns, t_start, t_end, termination,
                      metadata=None, absent=None):
         """A trace of one 1-D array per schema field, all of one length;
         ``absent`` maps optional fields to blank masks (default: none)."""
-        trace = cls.__new__(cls)
-        trace._store(columns, absent or {}, t_start, t_end, termination,
-                     metadata)
-        return trace
-
-    def _store(self, columns, absent, t_start, t_end, termination, metadata):
-        if termination not in TERMINATIONS:
-            raise ValueError(f"unknown termination {termination!r}")
         values = np.array([columns[name] for name in SAMPLE_SCHEMA],
                           dtype=float)
         if values.ndim != 2:
             raise ValueError("columns must be 1-D arrays of one length")
         blank = np.zeros((len(OPTIONAL_FIELDS), values.shape[1]), dtype=bool)
         for i, name in enumerate(OPTIONAL_FIELDS):
-            blank[i] = absent.get(name, False)
+            blank[i] = (absent or {}).get(name, False)
+        return cls.__new__(cls)._store(values, blank, t_start, t_end,
+                                       termination, metadata)
+
+    def _store(self, values, blank, t_start, t_end, termination, metadata):
+        """This trace, with ``values`` and the (len(OPTIONAL_FIELDS), n)
+        ``blank`` as its store, not copied; every blank entry and nan
+        becomes the one quiet nan in place."""
+        if termination not in TERMINATIONS:
+            raise ValueError(f"unknown termination {termination!r}")
         values[_N_REQUIRED:][blank] = math.nan
         values[np.isnan(values)] = math.nan
-        # The columns are read-only views.  The curves read the rows
-        # under them, because np.interp copies a read-only array whole on
-        # every call.
-        readonly = values.view()
-        readonly.setflags(write=False)
-        blank.setflags(write=False)
         times = values[SAMPLE_SCHEMA.index("t")]
         if not np.all(np.isfinite(times)):
             raise ValueError("sample times must be finite")
@@ -167,12 +164,18 @@ class Trace:
         if times.size and (times[0] < t_start - 1e-12
                            or times[-1] > t_end + 1e-12):
             raise ValueError("samples outside [t_start, t_end]")
+        # ``_values`` stays writable for the curves, because np.interp
+        # copies a read-only array whole on every call; nothing writes it.
+        readonly = values.view()
+        readonly.setflags(write=False)
+        blank.setflags(write=False)
         vars(self).update(
+            _values=values, _blank=blank,
             columns=dict(zip(SAMPLE_SCHEMA, readonly)),
-            _rows=dict(zip(SAMPLE_SCHEMA, values)),
             absent=dict(zip(OPTIONAL_FIELDS, blank)),
             t_start=t_start, t_end=t_end, termination=termination,
             metadata={} if metadata is None else metadata, _curves={})
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Trace is immutable: cannot set {name!r}")
@@ -183,11 +186,9 @@ class Trace:
         return (
             (self.t_start, self.t_end, self.termination, self.metadata)
             == (other.t_start, other.t_end, other.termination, other.metadata)
-            and all(np.array_equal(self.absent[name], other.absent[name])
-                    for name in OPTIONAL_FIELDS)
-            and all(np.array_equal(self.columns[name].view(np.int64),
-                                   other.columns[name].view(np.int64))
-                    for name in SAMPLE_SCHEMA)
+            and np.array_equal(self._blank, other._blank)
+            and np.array_equal(self._values.view(np.int64),
+                               other._values.view(np.int64))
         )
 
     def series(self, name):
@@ -346,7 +347,7 @@ def _curve(trace, name):
     non-finite sample and on the open cells beside it."""
     curve = trace._curves.get(name)
     if curve is None:
-        t, y = trace._rows["t"], trace._rows[name]
+        t, y = (trace._values[SAMPLE_SCHEMA.index(k)] for k in ("t", name))
         curve = PiecewiseLinear(t, _unbounded(y) if name == "sup_curv" else y)
         trace._curves[name] = curve
     return curve
@@ -375,12 +376,12 @@ def curvature_scales(trace, times):
     # the comparisons below still decide the predicate correctly.
     with np.errstate(over="ignore", divide="ignore"):
         idx = np.flatnonzero(s_max > 0.0)
-        g_all = q.window_max(np.full(idx.size, start), t0[idx])
-        idx, g_all = idx[g_all > 0.0], g_all[g_all > 0.0]
+        # Shorter look-backs have maxima <= m: where the cap fails, 1/m^2
+        # brackets the scale below.
         m = q.window_max(t0[idx] - s_max[idx], t0[idx])
-        bounded = ~(m * m <= 1.0 / s_max[idx])
-        idx, g_all = idx[bounded], g_all[bounded]
-        lo = np.minimum(s_max[idx], 1.0 / (g_all * g_all))
+        bounded = (m > 0.0) & ~(m * m <= 1.0 / s_max[idx])
+        idx, m = idx[bounded], m[bounded]
+        lo = np.minimum(s_max[idx], 1.0 / (m * m))
         below = lo < s_max[idx]
         idx, lo = idx[below], lo[below]
         hi = s_max[idx]

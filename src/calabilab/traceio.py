@@ -58,6 +58,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -164,11 +165,9 @@ def write_trace(trace, path):
 
     def write(fh):
         fh.write(line)
-        # On a little-endian host these are the trace's own arrays.
-        for name in SAMPLE_SCHEMA:
-            fh.write(np.ascontiguousarray(trace.columns[name], "<f8"))
-        for name in OPTIONAL_FIELDS:
-            fh.write(trace.absent[name].view(np.uint8))
+        # On a little-endian host this is the trace's own store.
+        fh.write(np.ascontiguousarray(trace._values, "<f8"))
+        fh.write(trace._blank.view(np.uint8))
 
     _write_atomic(path, write, "wb")
 
@@ -224,72 +223,70 @@ def _layout(head):
     return names, optional
 
 
-def _binary_columns(body, n_samples, names, optional):
-    """(columns, absent) of a v2 trace body: read-only views of ``body``,
-    plus an all-blank column for each optional column the trace lacks."""
-    size = n_samples * (8 * len(names) + len(optional))
-    if len(body) != size:
-        raise CorruptFile(
-            f"expected {size} body bytes for {n_samples} samples of "
-            f"{len(names)} columns and {len(optional)} masks, found "
-            f"{len(body)}")
-    values = np.frombuffer(body, "<f8", n_samples * len(names))
-    masks = np.frombuffer(body, np.uint8, offset=values.nbytes)
+def _binary_store(fh, n_samples, names, optional):
+    """(values, blank) store of a v2 trace body: each column read from
+    ``fh`` straight into its schema row, then the masks; an optional
+    column the trace lacks is all blank."""
+    try:
+        values = np.empty((len(SAMPLE_SCHEMA), n_samples))
+        masks = np.empty((len(optional), n_samples), np.uint8)
+    except (MemoryError, ValueError) as exc:
+        raise CorruptFile(f"trace n_samples {n_samples}: {exc}") from None
+    rows = [values[SAMPLE_SCHEMA.index(name)] for name in names]
+    for row in rows + list(masks):
+        if fh.readinto(row) != row.nbytes:
+            raise CorruptFile(f"trace body is short of {n_samples} samples")
+    if fh.read(1):
+        raise CorruptFile(f"trace body runs past {n_samples} samples")
     if np.any(masks > 1):
         raise CorruptFile("a blank mask byte is neither 0 nor 1")
-    columns = dict(zip(names, values.reshape(len(names), n_samples)))
-    absent = dict(zip(optional,
-                      masks.view(bool).reshape(len(optional), n_samples)))
+    absent = dict(zip(optional, masks.view(bool)))
     for name, mask in absent.items():
         if name not in OPTIONAL_FIELDS and mask.any():
             raise CorruptFile(f"required column {name} is blank")
-    for name in OPTIONAL_FIELDS:
-        if name not in columns:
-            columns[name] = np.full(n_samples, math.nan)
-            absent[name] = np.ones(n_samples, bool)
-    return columns, absent
-
-
-def _text_columns(body, n_samples):
-    """(columns, absent) of a v1 trace body: one line of tokens a sample."""
-    lines = _decode(body, "file").splitlines()
-    if len(lines) != n_samples:
-        raise CorruptFile(
-            f"expected {n_samples} samples, found {len(lines)} lines"
-        )
-    return record_columns((line.split() for line in lines), "-")
+    # Only now, with the body read, are the blank rows' pages touched.
+    blank = np.empty((len(OPTIONAL_FIELDS), n_samples), bool)
+    for i, name in enumerate(OPTIONAL_FIELDS):
+        blank[i] = absent.get(name, name not in names)
+    if sys.byteorder != "little":
+        values.byteswap(inplace=True)
+    return values, blank
 
 
 def read_trace(path):
     with open(path, "rb") as fh:
         head = _first_line(fh, "trace")
-        body = fh.read()
-    text = head["format_version"] == 1
-    for key in (("schema",) if text else ("columns", "optional")) + (
-            "n_samples", "t_start", "t_end", "termination"):
-        if key not in head:
-            raise CorruptFile(f"trace header is missing {key!r}")
-    if text and head["schema"] != list(SAMPLE_SCHEMA):
-        raise SchemaMismatch("trace schema differs from this build's schema")
-    layout = None if text else _layout(head)
-    if head["termination"] not in TERMINATIONS:
-        raise SchemaMismatch(
-            f"unknown termination {head['termination']!r}"
-        )
-    t_start = _finite_number(head["t_start"], "trace t_start")
-    t_end = _finite_number(head["t_end"], "trace t_end")
-    n_samples = _count(head["n_samples"], "trace n_samples")
-    metadata = _object(head.get("metadata", {}), "trace metadata")
-    # A ValueError here (arity, a token, a blank, the times) is damage.
-    try:
-        if text:
-            columns, absent = _text_columns(body, n_samples)
-        else:
-            columns, absent = _binary_columns(body, n_samples, *layout)
-        return Trace.from_columns(columns, t_start, t_end,
-                                  head["termination"], metadata, absent)
-    except ValueError as exc:
-        raise CorruptFile(f"trace body: {exc}") from None
+        text = head["format_version"] == 1
+        for key in (("schema",) if text else ("columns", "optional")) + (
+                "n_samples", "t_start", "t_end", "termination"):
+            if key not in head:
+                raise CorruptFile(f"trace header is missing {key!r}")
+        if text and head["schema"] != list(SAMPLE_SCHEMA):
+            raise SchemaMismatch(
+                "trace schema differs from this build's schema")
+        layout = None if text else _layout(head)
+        if head["termination"] not in TERMINATIONS:
+            raise SchemaMismatch(
+                f"unknown termination {head['termination']!r}"
+            )
+        t_start = _finite_number(head["t_start"], "trace t_start")
+        t_end = _finite_number(head["t_end"], "trace t_end")
+        n_samples = _count(head["n_samples"], "trace n_samples")
+        metadata = _object(head.get("metadata", {}), "trace metadata")
+        # A ValueError here (arity, a token, a blank, the times) is damage.
+        try:
+            if text:  # one line of tokens a sample
+                lines = _decode(fh.read(), "file").splitlines()
+                if len(lines) != n_samples:
+                    raise CorruptFile(f"expected {n_samples} samples, found "
+                                      f"{len(lines)} lines")
+                store = record_columns((ln.split() for ln in lines), "-")
+            else:
+                store = _binary_store(fh, n_samples, *layout)
+            return Trace.__new__(Trace)._store(
+                *store, t_start, t_end, head["termination"], metadata)
+        except ValueError as exc:
+            raise CorruptFile(f"trace body: {exc}") from None
 
 
 class CheckpointData:

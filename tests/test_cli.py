@@ -206,6 +206,23 @@ class TestRun:
         assert payload["error_class"] == "BadParams"
         assert "cfg.json" in payload["message"]
 
+    @pytest.mark.parametrize("undecodable", ["manifest", "config"])
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, undecodable):
+        """A manifest, or the config file it names, that is not UTF-8 is
+        the one-line BadParams error."""
+        manifest = write_manifest(tmp_path, config="cfg.json")
+        golden = os.path.join(os.path.dirname(__file__), "golden",
+                              "trace_v2.trace")
+        target = {"manifest": manifest,
+                  "config": tmp_path / "cfg.json"}[undecodable]
+        with open(golden, "rb") as src, open(target, "wb") as dst:
+            dst.write(src.read())
+        code, payload = one_line_error(
+            ["run", manifest, "--outdir", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert payload["error_class"] == "BadParams"
+        assert f"unreadable {undecodable}" in payload["message"]
+
 
 def one_line_error(args, capsys):
     """Exit code and payload of a failing command, whose stdout is the

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +323,51 @@ class TestTraceFormat:
         }[damage])
         with pytest.raises(CorruptFile):
             traceio.read_trace(path)
+
+    def test_sample_count_too_large_to_hold_is_corrupt(self, tmp_path,
+                                                       edit_header):
+        path = v2_copy(tmp_path)
+        edit_header(path, lambda head: head.update(n_samples=10**12))
+        with pytest.raises(CorruptFile):
+            traceio.read_trace(path)
+
+    def test_read_holds_one_copy_of_the_samples(self, tmp_path):
+        """The body goes straight into the trace's store: no bytes object
+        of the whole body and no second copy of the columns."""
+        n = 100_000
+        rng = np.random.default_rng(5)
+        columns = {name: rng.random(n) for name in SAMPLE_SCHEMA}
+        columns["t"] = np.arange(n, dtype=float)
+        tr = scale.Trace.from_columns(columns, 0.0, n, "completed", {},
+                                      {"futaki": rng.random(n) < 0.5})
+        path = tmp_path / "long.trace"
+        traceio.write_trace(tr, path)
+        store = n * (8 * len(SAMPLE_SCHEMA) + len(OPTIONAL_FIELDS))
+        tracemalloc.start()
+        try:
+            back = traceio.read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == tr
+        assert peak <= 1.3 * store, peak / store
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_read_through_a_pipe(self, tmp_path):
+        # Larger than a pipe's buffer, so a column arrives in several reads.
+        path = tmp_path / "file.trace"
+        traceio.write_trace(small_trace(10_000), path)
+        pipe = tmp_path / "pipe.trace"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes,
+                                  args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            back = traceio.read_trace(pipe)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert back == traceio.read_trace(path)
 
     @pytest.mark.parametrize("key,value", [
         ("columns", 5), ("columns", None), ("columns", ["t", 1]),
