@@ -2,9 +2,10 @@
 
 ``run`` executes one manifest (config + named initial condition) and
 writes a trace plus checkpoints; ``analyze`` turns a trace file into a
-scale report and plot-ready series files; ``verify`` runs the acceptance
-suites and reports one line per criterion; ``sweep`` runs many manifests
-in parallel worker processes and aggregates the corpus calibration.
+scale report and a plot-ready curvature-scale series; ``verify`` runs
+the acceptance suites and reports one line per criterion; ``sweep`` runs
+many manifests in parallel worker processes and aggregates the corpus
+calibration.
 
 Failures exit nonzero after printing a single machine-readable JSON line
 ``{"status": "error", "error_class": ..., "message": ...}`` on stdout.
@@ -125,26 +126,13 @@ def cmd_run(args):
 
 
 def _lines(pairs):
-    """One ``t y`` line per pair, each float in its ``repr``.  ``t`` is
-    written with ``str``, which for a float is its ``repr``, so a caller
-    may pass times it has already formatted."""
-    return (f"{t} {y!r}\n" for t, y in pairs)
+    """One ``t y`` line per pair of floats, each in its ``repr``."""
+    return (f"{t!r} {y!r}\n" for t, y in pairs)
 
 
 def _write_series(path, pairs):
     """The ``_lines`` of ``pairs``, written atomically to ``path``."""
     traceio._write_atomic(path, lambda fh: fh.writelines(_lines(pairs)))
-
-
-def _write_lockstep(paths, write, handles=()):
-    """Call ``write(handles)`` with one file open per path, each through
-    ``traceio._write_atomic``: a failure in ``write`` leaves every earlier
-    file in place, and each file is renamed into place once ``write``
-    returns."""
-    if not paths:
-        return write(handles)
-    traceio._write_atomic(paths[0], lambda fh: _write_lockstep(
-        paths[1:], write, handles + (fh,)))
 
 
 def cmd_analyze(args):
@@ -167,34 +155,10 @@ def cmd_analyze(args):
     stem = os.path.splitext(os.path.basename(args.trace))[0]
     report_path = os.path.join(outdir, f"{stem}.report.json")
     traceio.write_report(dataclasses.asdict(rep), report_path)
-    series_fields = {
-        "calabi_energy": "ca",
-        "sup_scalar": "sup_scalar",
-        "sup_hess_scalar": "sup_hess",
-        "sup_curv": "sup_curv",
-    }
-    written = [report_path]
-    t = trace.columns["t"]
-    ys = [trace.series(field)[1] for field in series_fields]
-
-    def write(handles):
-        # The four series share the time column: format each block of it
-        # once.
-        for i in range(0, t.size, scale._BLOCK):
-            times = list(map(repr, t[i:i + scale._BLOCK].tolist()))
-            for fh, y in zip(handles, ys):
-                fh.writelines(_lines(zip(
-                    times, y[i:i + scale._BLOCK].tolist())))
-
-    paths = [os.path.join(outdir, f"{stem}.{tag}.dat")
-             for tag in series_fields.values()]
-    _write_lockstep(paths, write)
-    written += paths
     fpath = os.path.join(outdir, f"{stem}.curvature_scale.dat")
     _write_series(fpath, rep.curvature_scale)
-    written.append(fpath)
     print(json.dumps({"status": "ok", "report": report_path,
-                      "series": written[1:],
+                      "series": [fpath],
                       "doubling_segments": len(rep.doubling)},
                      sort_keys=True))
     return 0

@@ -557,8 +557,9 @@ class TestAtomicOutputs:
 
     def test_failed_analyze_series_keep_the_earlier_files(
             self, tmp_path, capsys, monkeypatch):
-        # The four series are written together; a failure in the last one
-        # leaves all four earlier files and no temporary file.
+        # The report is written first and the curvature scale second; a
+        # failure in the second leaves both earlier files and no
+        # temporary file.
         trace_path = tmp_path / "c.trace"
         traceio.write_trace(
             scale.synthetic_trace("constant", value=1.0, t0=0.0, t1=6.0),
@@ -566,15 +567,13 @@ class TestAtomicOutputs:
         args = ["analyze", str(trace_path), "--outdir", str(tmp_path)]
         code, payload = run_cli(args, capsys)
         assert code == 0
-        before = {path: open(path, "rb").read() for path in payload["series"]}
+        outputs = [payload["report"], *payload["series"]]
+        assert len(outputs) == 2
+        before = {path: open(path, "rb").read() for path in outputs}
         listing = sorted(os.listdir(tmp_path))
-        lines, calls = cli._lines, []
 
         def failing(pairs):
-            calls.append(pairs)
-            if len(calls) == 4:
-                raise OSError("disk full")
-            return lines(pairs)
+            raise OSError("disk full")
 
         monkeypatch.setattr(cli, "_lines", failing)
         with pytest.raises(OSError):
@@ -684,14 +683,6 @@ class TestAnalyze:
         pinned = {
             "v.report.json": "6e088319083f19645900f06f0c099cfe"
                              "ed872b2532f50ff973f00f120e7e24d8",
-            "v.ca.dat": "ff4c662672e9d43e3808e1ede0854a3b"
-                        "691fe040807afdb4e8245985243dcb1b",
-            "v.sup_scalar.dat": "bd99debbf04621f1f6a092eb4ac4c5fc"
-                                "b24cfd3eb4328a2551a5d76b85f719c9",
-            "v.sup_hess.dat": "526ca2e105cfd3370cd0e1fa8f4e85d1"
-                              "fed19848beba5e2ccacc3a949dee7f0d",
-            "v.sup_curv.dat": "d3d20d76f41be95649fe7762ad571b1f"
-                              "194b05562e69f5caf6817ee33afa8df8",
             "v.curvature_scale.dat": "b41369e73a31bbdbe6b829674086b04b"
                                      "a02767959d99799817ee6e5f537f38c9",
         }
@@ -711,6 +702,45 @@ class TestAnalyze:
                 digests[os.path.basename(out)] = \
                     hashlib.sha256(fh.read()).hexdigest()
         assert digests == pinned
+
+    def test_column_recipe_gives_the_bytes_analyze_once_wrote(
+            self, tmp_path):
+        # sha256 of the trace-column files analyze wrote for this trace
+        # before it stopped copying columns out; the README's recipe
+        # prints a column as the same bytes.
+        pinned = {
+            "calabi_energy": "ff4c662672e9d43e3808e1ede0854a3b"
+                             "691fe040807afdb4e8245985243dcb1b",
+            "sup_scalar": "bd99debbf04621f1f6a092eb4ac4c5fc"
+                          "b24cfd3eb4328a2551a5d76b85f719c9",
+            "sup_hess_scalar": "526ca2e105cfd3370cd0e1fa8f4e85d1"
+                               "fed19848beba5e2ccacc3a949dee7f0d",
+            "sup_curv": "d3d20d76f41be95649fe7762ad571b1f"
+                        "194b05562e69f5caf6817ee33afa8df8",
+        }
+        path = tmp_path / "v.trace"
+        traceio.write_trace(violating_trace(), path)
+        trace = traceio.read_trace(path)
+        digests = {}
+        for column in pinned:
+            t, y = trace.series(column)
+            text = "".join(f"{a!r} {b!r}\n"
+                           for a, b in zip(t.tolist(), y.tolist()))
+            digests[column] = hashlib.sha256(text.encode()).hexdigest()
+        assert digests == pinned
+
+    def test_outputs_are_the_report_and_the_curvature_scale(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "v.trace"
+        traceio.write_trace(violating_trace(), path)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, payload = run_cli(
+            ["analyze", str(path), "--outdir", str(out)], capsys)
+        assert code == 0
+        assert sorted(os.listdir(out)) == ["v.curvature_scale.dat",
+                                           "v.report.json"]
+        assert payload["series"] == [str(out / "v.curvature_scale.dat")]
 
     def test_sample_whose_curvature_squared_underflows(self, tmp_path,
                                                        capsys):
